@@ -12,7 +12,7 @@ import numpy as np
 
 from .cell import CellParams, cell_forward, cell_backward
 from .data import synth_scene
-from .model import ModelConfig, MotionModel
+from .model import DecoderParams, ModelConfig, MotionModel
 from .numkit import ParamStore, Rng, grad_check
 from .objectives import LossConfig
 from .queues import FeatureQueue
@@ -100,28 +100,40 @@ def check_scene(seed=0):
 
 
 def check_decoder(seed=0):
-    """Loss = squared norm of a short rollout's positions."""
-    cfg = ModelConfig(h=8, q=2, z_dim=3, dec_h=8, obs_len=4, pred_len=3,
+    """Loss = squared norm of one winning rollout per agent, out of 3 latent
+    samples per agent decoded together.
+
+    Agents 0 and 2 win with sample 2 and agent 1 with sample 0, so sample 1
+    gets no gradient and sample 2's latent gradient sums over two agents.
+    The decoder's parameters and its inputs h_obs and z sit in a store of
+    their own, which the sweep covers entry by entry.
+    """
+    n, m, z_dim = 3, 3, 3
+    cfg = ModelConfig(h=8, q=2, dec_h=8, obs_len=4, pred_len=3,
                       use_social=False, use_latent=False)
     rng = Rng(seed)
     model = MotionModel(cfg, rng)
-    n = 2
-    h_obs = rng.normal((n, cfg.h))
-    z = np.zeros(0)
+    store = ParamStore()
+    model.decoder = DecoderParams(store, rng, h_enc=cfg.h, z_dim=z_dim, dec_h=cfg.dec_h)
+    h_obs = store.add("input.h_obs", rng.normal((n, cfg.h)))
+    z = store.add("input.z", rng.normal((m, z_dim)))
     last_pos = rng.normal((n, 2))
     last_disp = rng.normal((n, 2))
+    winners = ((0, 2), (1, 0), (2, 2))  # (agent, sample)
 
     def f(s):
-        pos, caches = model.decode(h_obs, z, 3, last_pos, last_disp, want_cache=True)
-        for i in range(n):
-            model._decode_backward_agent(caches[i], 2.0 * pos[i])
-        return float((pos ** 2).sum())
+        pos, cache = model.decode(h_obs, z, 3, last_pos, last_disp, want_cache=True)
+        for i, k in winners:
+            d_h, d_z = model._decode_backward_agent(cache, k * n + i, 2.0 * pos[k, i])
+            store.grad("input.h_obs")[i] += d_h
+            store.grad("input.z")[k] += d_z
+        return sum(float((pos[k, i] ** 2).sum()) for i, k in winners)
 
     def f_value(s):
         pos, _ = model.decode(h_obs, z, 3, last_pos, last_disp)
-        return float((pos ** 2).sum())
+        return sum(float((pos[k, i] ** 2).sum()) for i, k in winners)
 
-    return grad_check(f, model.store, eps=EPS, f_value=f_value)
+    return grad_check(f, store, eps=EPS, f_value=f_value)
 
 
 def micro_model_and_scene(seed=0, use_social=True, use_latent=True):

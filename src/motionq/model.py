@@ -4,9 +4,12 @@ Observation runs frame by frame: every agent's queue-gated cell step, then a
 queue push/pop, then (optionally) the social refinement of all hidden queues
 across agents. The final hidden features are fused with a scene-conditioned
 latent draw and rolled out by a vanilla LSTM decoder that emits per-frame
-displacements, feeding each displacement back as the next input. Absolute
-positions are cumulative sums from the last observed position, which makes
-every prediction translate exactly with the inputs.
+displacements, feeding each displacement back as the next input. All m x n
+(sample, agent) rows roll out together, one matrix-vector product per row,
+so each row is bitwise the rollout it would be alone; training backpropagates
+only each agent's best-of-m row. Absolute positions are cumulative sums from
+the last observed position, which makes every prediction translate exactly
+with the inputs.
 
 Prediction export format (text): a comment header then one record per line,
 
@@ -152,29 +155,39 @@ class PredictionSet:
         return self.positions.shape[0]
 
 
-class _DecStep:
-    __slots__ = ("x", "h_prev", "c_prev", "gi", "gf", "go", "gu", "c", "tanh_c", "h")
-
-    def __init__(self, x, h_prev, c_prev, gi, gf, go, gu, c, tanh_c, h):
-        self.x = x
-        self.h_prev = h_prev
-        self.c_prev = c_prev
-        self.gi = gi
-        self.gf = gf
-        self.go = go
-        self.gu = gu
-        self.c = c
-        self.tanh_c = tanh_c
-        self.h = h
-
-
 class _DecCache:
-    __slots__ = ("s", "h0", "steps")
+    """Stacked rollout of every decoder row, sample-major (row k*n + i).
+
+    Step t reads x[t], h[t], c[t] and produces the gates, tanh_c[t], h[t + 1]
+    and c[t + 1]; h[0] is the fused initial state and c[0] is zero. Every
+    per-step array is (steps, rows, .), h and c are (steps + 1, rows, dec_h)
+    and s holds each row's fused input [h_obs_i; z_k].
+    """
+
+    __slots__ = ("s", "x", "h", "c", "gi", "gf", "go", "gu", "tanh_c")
 
     def __init__(self, s, h0, steps):
+        rows, dec_h = h0.shape
         self.s = s
-        self.h0 = h0
-        self.steps = steps
+        self.x = np.zeros((steps, rows, 2))
+        self.h = np.zeros((steps + 1, rows, dec_h))
+        self.h[0] = h0
+        self.c = np.zeros((steps + 1, rows, dec_h))
+        self.gi = np.zeros((steps, rows, dec_h))
+        self.gf = np.zeros((steps, rows, dec_h))
+        self.go = np.zeros((steps, rows, dec_h))
+        self.gu = np.zeros((steps, rows, dec_h))
+        self.tanh_c = np.zeros((steps, rows, dec_h))
+
+
+def _rowwise(W, X):
+    """W @ X[r] for every row r of X, as one matrix-vector product per row.
+
+    np.matmul over a stack of columns runs the same BLAS gemv per row as
+    `W @ x` does, so each row is bitwise what it would be alone; X @ W.T
+    (one gemm) would reassociate the sums.
+    """
+    return np.matmul(W, X[:, :, None])[:, :, 0]
 
 
 class MotionModel:
@@ -282,72 +295,78 @@ class MotionModel:
     # ------------------------------------------------------------------ decoder
 
     def decode(self, h_obs, z, steps, last_pos, last_disp, want_cache=False):
-        """Roll the decoder from the fused encoder state; returns (positions, caches).
+        """Roll out every (sample, agent) row at once; returns (positions, cache).
 
-        The decoder hidden state starts from tanh(W_fuse [h_obs; z] + b), the
-        cell at zero; the first input is the final observed displacement and
-        every emitted displacement is fed back as the next input.
+        z is (m, z_dim), one latent draw per sample, and positions is
+        (m, n, steps, 2). Row k*n + i decodes agent i under draw k: its hidden
+        state starts from tanh(W_fuse [h_obs_i; z_k] + b), its cell at zero;
+        the first input is the agent's final observed displacement and every
+        emitted displacement is fed back as the next input. The cache, on
+        request, is a _DecCache over all rows.
         """
         if steps < 1:
             raise ValueError("steps must be >= 1")
         h_obs = np.asarray(h_obs, dtype=np.float64)
         z = np.asarray(z, dtype=np.float64)
-        n = h_obs.shape[0]
+        if z.ndim != 2:
+            raise ValueError(f"latent draws must be (m, z_dim), got {z.shape}")
+        n, m = h_obs.shape[0], z.shape[0]
         dec = self.decoder
-        positions = np.zeros((n, steps, 2))
-        caches = [] if want_cache else None
-        for i in range(n):
-            s = np.concatenate([h_obs[i], z])
-            h0 = np.tanh(dec.W_fuse @ s + dec.b_fuse)
-            h = h0
-            c = np.zeros(dec.dec_h)
-            x = np.asarray(last_disp[i], dtype=np.float64)
-            disps = np.zeros((steps, 2))
-            step_caches = [] if want_cache else None
-            for t in range(steps):
-                gi = sigmoid(dec.W["i"] @ x + dec.U["i"] @ h + dec.b["i"])
-                gf = sigmoid(dec.W["f"] @ x + dec.U["f"] @ h + dec.b["f"])
-                go = sigmoid(dec.W["o"] @ x + dec.U["o"] @ h + dec.b["o"])
-                gu = np.tanh(dec.W["u"] @ x + dec.U["u"] @ h + dec.b["u"])
-                c_new = gf * c + gi * gu
-                tanh_c = np.tanh(c_new)
-                h_new = go * tanh_c
-                delta = dec.W_out @ h_new + dec.b_out
-                if want_cache:
-                    step_caches.append(_DecStep(x, h, c, gi, gf, go, gu, c_new, tanh_c, h_new))
-                disps[t] = delta
-                x = delta
-                h = h_new
-                c = c_new
-            positions[i] = last_pos[i] + np.cumsum(disps, axis=0)
+        s = np.concatenate([np.tile(h_obs, (m, 1)), np.repeat(z, n, axis=0)], axis=1)
+        h = np.tanh(_rowwise(dec.W_fuse, s) + dec.b_fuse)
+        c = np.zeros_like(h)
+        x = np.tile(np.asarray(last_disp, dtype=np.float64), (m, 1))
+        disps = np.zeros((m * n, steps, 2))
+        cache = _DecCache(s, h, steps) if want_cache else None
+        for t in range(steps):
+            gi = sigmoid(_rowwise(dec.W["i"], x) + _rowwise(dec.U["i"], h) + dec.b["i"])
+            gf = sigmoid(_rowwise(dec.W["f"], x) + _rowwise(dec.U["f"], h) + dec.b["f"])
+            go = sigmoid(_rowwise(dec.W["o"], x) + _rowwise(dec.U["o"], h) + dec.b["o"])
+            gu = np.tanh(_rowwise(dec.W["u"], x) + _rowwise(dec.U["u"], h) + dec.b["u"])
+            c_new = gf * c + gi * gu
+            tanh_c = np.tanh(c_new)
+            h_new = go * tanh_c
+            delta = _rowwise(dec.W_out, h_new) + dec.b_out
             if want_cache:
-                caches.append(_DecCache(s, h0, step_caches))
-        return positions, caches
+                cache.x[t] = x
+                cache.gi[t], cache.gf[t], cache.go[t], cache.gu[t] = gi, gf, go, gu
+                cache.tanh_c[t] = tanh_c
+                cache.h[t + 1] = h_new
+                cache.c[t + 1] = c_new
+            disps[:, t] = delta
+            x = delta
+            h = h_new
+            c = c_new
+        last = np.tile(np.asarray(last_pos, dtype=np.float64), (m, 1))
+        positions = last[:, None] + np.cumsum(disps, axis=1)
+        return positions.reshape(m, n, steps, 2), cache
 
-    def _decode_backward_agent(self, cache, d_pos):
-        """Gradient of one agent's rollout; returns (d_h_obs_i, d_z)."""
+    def _decode_backward_agent(self, cache, row, d_pos):
+        """Gradient of one cached rollout row; returns (d_h_obs_i, d_z_k)."""
         dec = self.decoder
-        steps = len(cache.steps)
+        steps = cache.x.shape[0]
         d_disp = np.cumsum(d_pos[::-1], axis=0)[::-1]  # position cumsum fan-out
         d_x_next = np.zeros(2)
         d_h = np.zeros(dec.dec_h)
         d_c = np.zeros(dec.dec_h)
         for t in range(steps - 1, -1, -1):
-            st = cache.steps[t]
+            gi, gf = cache.gi[t, row], cache.gf[t, row]
+            go, gu = cache.go[t, row], cache.gu[t, row]
+            tanh_c = cache.tanh_c[t, row]
             d_delta = d_disp[t] + d_x_next
-            dec.dW_out += np.outer(d_delta, st.h)
+            dec.dW_out += np.outer(d_delta, cache.h[t + 1, row])
             dec.db_out += d_delta
             d_h = d_h + dec.W_out.T @ d_delta
-            d_go = d_h * st.tanh_c
-            da_o = d_go * st.go * (1.0 - st.go)
-            d_c = d_c + d_h * st.go * (1.0 - st.tanh_c ** 2)
-            d_gi = d_c * st.gu
-            da_i = d_gi * st.gi * (1.0 - st.gi)
-            d_gu = d_c * st.gi
-            da_u = d_gu * (1.0 - st.gu ** 2)
-            d_gf = d_c * st.c_prev
-            da_f = d_gf * st.gf * (1.0 - st.gf)
-            d_c = d_c * st.gf
+            d_go = d_h * tanh_c
+            da_o = d_go * go * (1.0 - go)
+            d_c = d_c + d_h * go * (1.0 - tanh_c ** 2)
+            d_gi = d_c * gu
+            da_i = d_gi * gi * (1.0 - gi)
+            d_gu = d_c * gi
+            da_u = d_gu * (1.0 - gu ** 2)
+            d_gf = d_c * cache.c[t, row]
+            da_f = d_gf * gf * (1.0 - gf)
+            d_c = d_c * gf
             d_x_next = (
                 dec.W["i"].T @ da_i + dec.W["f"].T @ da_f
                 + dec.W["o"].T @ da_o + dec.W["u"].T @ da_u
@@ -357,12 +376,12 @@ class MotionModel:
                 + dec.U["o"].T @ da_o + dec.U["u"].T @ da_u
             )
             for gate, da in (("i", da_i), ("f", da_f), ("o", da_o), ("u", da_u)):
-                dec.dW[gate] += np.outer(da, st.x)
-                dec.dU[gate] += np.outer(da, st.h_prev)
+                dec.dW[gate] += np.outer(da, cache.x[t, row])
+                dec.dU[gate] += np.outer(da, cache.h[t, row])
                 dec.db[gate] += da
         # d_x_next now targets the seed input (observed data): dropped
-        d_a0 = d_h * (1.0 - cache.h0 ** 2)
-        dec.dW_fuse += np.outer(d_a0, cache.s)
+        d_a0 = d_h * (1.0 - cache.h[0, row] ** 2)
+        dec.dW_fuse += np.outer(d_a0, cache.s[row])
         dec.db_fuse += d_a0
         d_s = dec.W_fuse.T @ d_a0
         return d_s[:dec.h_enc], d_s[dec.h_enc:]
@@ -384,17 +403,11 @@ class MotionModel:
             if scene.smap is None:
                 raise ValueError("model is latent-conditioned but the scene has no semantic map")
             mu, sigma, _ = encode_scene(scene.smap, obs_disp, self.scene_enc)
-        preds = []
-        zs = []
-        for _ in range(m):
-            if self.scene_enc is not None:
-                z = sample_latent((mu, sigma), rng)
-            else:
-                z = np.zeros(0)
-            pos, _ = self.decode(state.h_obs, z, steps, last_pos, last_disp)
-            preds.append(pos)
-            zs.append(z)
-        return PredictionSet(np.stack(preds), np.stack(zs))
+            zs = np.stack([sample_latent((mu, sigma), rng) for _ in range(m)])
+        else:
+            zs = np.zeros((m, 0))
+        positions, _ = self.decode(state.h_obs, zs, steps, last_pos, last_disp)
+        return PredictionSet(positions, zs)
 
     # ------------------------------------------------------------------ training
 
@@ -427,18 +440,12 @@ class MotionModel:
                 raise ValueError("model is latent-conditioned but the scene has no semantic map")
             mu, sigma, scene_cache = encode_scene(scene.smap, obs_disp, self.scene_enc)
             eps_draws = [rng.normal(self.cfg.z_dim) for _ in range(loss_cfg.m)]
-            zs = [mu + sigma * e for e in eps_draws]
+            zs = np.stack([mu + sigma * e for e in eps_draws])
         else:
-            zs = [np.zeros(0)]  # all samples coincide without a latent
+            zs = np.zeros((1, 0))  # all samples coincide without a latent
 
-        preds = []
-        dec_caches = []
-        for z in zs:
-            pos, caches = self.decode(state.h_obs, z, steps, last_pos, last_disp,
-                                      want_cache=with_grad)
-            preds.append(pos)
-            dec_caches.append(caches)
-        preds = np.stack(preds)
+        preds, dec_cache = self.decode(state.h_obs, zs, steps, last_pos, last_disp,
+                                       want_cache=with_grad)
 
         var_value, var_cache = variety_forward(gt, preds, loss_cfg.variety_mode)
         coh_value, coh_cache = coherence_forward(state.features, self.cfg.q, loss_cfg, rng)
@@ -450,10 +457,10 @@ class MotionModel:
         d_preds = variety_backward(var_cache, 1.0)
         best = var_cache[3]
         d_h_obs = np.zeros((n, self.cfg.h))
-        d_zs = np.zeros((len(zs), zs[0].shape[0]))
+        d_zs = np.zeros(zs.shape)
         for i in range(n):
             k = best[i]
-            d_hi, d_zk = self._decode_backward_agent(dec_caches[k][i], d_preds[k, i])
+            d_hi, d_zk = self._decode_backward_agent(dec_cache, k * n + i, d_preds[k, i])
             d_h_obs[i] += d_hi
             d_zs[k] += d_zk
 
@@ -490,15 +497,15 @@ class MotionModel:
             steps = scene.pred_len if scene.pred_len > 0 else self.cfg.pred_len
         if self.scene_enc is not None:
             mu, sigma, _ = encode_scene(scene.smap, obs_disp, self.scene_enc)
-            z = mu  # mean latent
+            z = mu[None]  # mean latent
         else:
-            z = np.zeros(0)
+            z = np.zeros((1, 0))
         last_pos = scene.positions[:, scene.obs_len - 1]
         last_disp = obs_disp[:, -1]
-        _, caches = self.decode(state.h_obs, z, steps, last_pos, last_disp, want_cache=True)
+        _, cache = self.decode(state.h_obs, z, steps, last_pos, last_disp, want_cache=True)
         for i in range(scene.n_agents):
             for t in range(steps):
-                rows.append(("pred", i, t, caches[i].steps[t].c.copy()))
+                rows.append(("pred", i, t, cache.c[t + 1, i].copy()))
         return rows
 
 

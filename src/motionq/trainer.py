@@ -46,6 +46,15 @@ def default_queue_length(dataset):
     return 3
 
 
+BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+CHOICES = {
+    "precision": ("32", "64"),
+    "relation_mode": ("signed", "softmax"),
+    "sigma_transform": ("sigmoid", "softplus"),
+    "variety_mode": ("concat", "per_frame"),
+}
+
+
 @dataclass
 class TrainConfig:
     h: int = 32
@@ -86,6 +95,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)}, "
+                                 f"got {getattr(self, name)!r}")
 
     def model_config(self):
         return ModelConfig(
@@ -132,14 +145,20 @@ class TrainConfig:
             if key not in types:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
             current = getattr(defaults, key)
-            if isinstance(current, bool):
-                kwargs[key] = value.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                kwargs[key] = int(value)
-            elif isinstance(current, float):
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
+            try:
+                if isinstance(current, bool):
+                    kwargs[key] = BOOL_WORDS[value.lower()]
+                elif isinstance(current, int):
+                    kwargs[key] = int(value)
+                elif isinstance(current, float):
+                    kwargs[key] = float(value)
+                else:
+                    kwargs[key] = value
+            except (KeyError, ValueError):
+                kind = ("a bool (1/0/true/false/yes/no)" if isinstance(current, bool)
+                        else "an integer" if isinstance(current, int) else "a number")
+                raise ValueError(f"config line {lineno}: {key} expects {kind}, "
+                                 f"got {value!r}") from None
         return cls(**kwargs)
 
     @classmethod
@@ -279,17 +298,28 @@ def evaluate(model, scenes, m, seed=1234, nonlinear_only=False, nonlinear_thresh
 
 
 def save_checkpoint(path, store, state, cfg, epoch):
+    """Write the checkpoint to a temporary file beside `path`, flush and fsync
+    it, then rename it over `path`: an interrupted save leaves the previous
+    checkpoint whole."""
     cfg_text = cfg.to_text()
-    with open(path, "w") as fh:
-        fh.write("checkpoint-v1\n")
-        fh.write(f"hash {cfg.digest()}\n")
-        fh.write(f"epoch {epoch}\n")
-        fh.write(f"adam-t {state.t}\n")
-        fh.write(f"config-lines {len(cfg_text.splitlines())}\n")
-        fh.write(cfg_text)
-        write_tensors(fh, {name: store.value(name) for name in store.names()})
-        write_tensors(fh, state.m)
-        write_tensors(fh, state.v)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("checkpoint-v1\n")
+            fh.write(f"hash {cfg.digest()}\n")
+            fh.write(f"epoch {epoch}\n")
+            fh.write(f"adam-t {state.t}\n")
+            fh.write(f"config-lines {len(cfg_text.splitlines())}\n")
+            fh.write(cfg_text)
+            write_tensors(fh, {name: store.value(name) for name in store.names()})
+            write_tensors(fh, state.m)
+            write_tensors(fh, state.v)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):

@@ -4,7 +4,7 @@ import pytest
 from motionq import gradchecks
 from motionq.data import SceneBatch, synth_scene
 from motionq.model import ModelConfig, MotionModel, write_prediction_records
-from motionq.numkit import Rng
+from motionq.numkit import Rng, sigmoid
 from motionq.objectives import LossConfig
 
 from test_cell import lstm_oracle_forward, oracle_params_from_cell
@@ -111,9 +111,9 @@ def test_observe_agent_permutation_equivariance():
 def test_decode_emits_requested_steps():
     cfg = micro_cfg(use_latent=False)
     model = MotionModel(cfg, Rng(9))
-    pos, _ = model.decode(np.zeros((2, cfg.h)), np.zeros(0), 12,
+    pos, _ = model.decode(np.zeros((2, cfg.h)), np.zeros((3, 0)), 12,
                           np.zeros((2, 2)), np.zeros((2, 2)))
-    assert pos.shape == (2, 12, 2)
+    assert pos.shape == (3, 2, 12, 2)
 
 
 def test_decode_zero_params_repeats_last_position():
@@ -122,10 +122,10 @@ def test_decode_zero_params_repeats_last_position():
     for name in model.store.names():
         model.store.value(name)[...] = 0.0
     last_pos = np.array([[3.0, -1.0], [0.5, 2.5]])
-    pos, _ = model.decode(Rng(11).normal((2, cfg.h)), np.zeros(0), 5,
+    pos, _ = model.decode(Rng(11).normal((2, cfg.h)), np.zeros((1, 0)), 5,
                           last_pos, Rng(12).normal((2, 2)))
     for t in range(5):
-        assert np.array_equal(pos[:, t], last_pos)
+        assert np.array_equal(pos[0, :, t], last_pos)
 
 
 def test_decode_deterministic_given_z():
@@ -134,7 +134,7 @@ def test_decode_deterministic_given_z():
     model = MotionModel(cfg, rng)
     randomize(model, rng)
     h_obs = Rng(14).normal((2, cfg.h))
-    z = Rng(15).normal(cfg.z_dim)
+    z = Rng(15).normal((3, cfg.z_dim))
     args = (h_obs, z, 6, np.zeros((2, 2)), np.zeros((2, 2)))
     a, _ = model.decode(*args)
     b, _ = model.decode(*args)
@@ -145,7 +145,180 @@ def test_decode_rejects_zero_steps():
     cfg = micro_cfg(use_latent=False)
     model = MotionModel(cfg, Rng(16))
     with pytest.raises(ValueError):
-        model.decode(np.zeros((1, cfg.h)), np.zeros(0), 0, np.zeros((1, 2)), np.zeros((1, 2)))
+        model.decode(np.zeros((1, cfg.h)), np.zeros((1, 0)), 0, np.zeros((1, 2)), np.zeros((1, 2)))
+
+
+def test_decode_rejects_unstacked_latent():
+    cfg = micro_cfg()
+    model = MotionModel(cfg, Rng(16))
+    with pytest.raises(ValueError):
+        model.decode(np.zeros((1, cfg.h)), np.zeros(cfg.z_dim), 4,
+                     np.zeros((1, 2)), np.zeros((1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# per-row oracle: one Python rollout per (sample, agent) row, and the
+# per-row backward, with the arithmetic the batched decoder must reproduce
+
+
+def oracle_decode(model, h_obs, z, steps, last_pos, last_disp, want_cache=False):
+    """MotionModel.decode's contract, one row at a time, sample-major; the
+    cache is a list of (s, h0, step records) per row."""
+    dec = model.decoder
+    n, m = len(h_obs), len(z)
+    positions = np.zeros((m, n, steps, 2))
+    rows = []
+    for k in range(m):
+        for i in range(n):
+            s = np.concatenate([h_obs[i], z[k]])
+            h0 = np.tanh(dec.W_fuse @ s + dec.b_fuse)
+            h, c, x = h0, np.zeros(dec.dec_h), np.asarray(last_disp[i], dtype=np.float64)
+            disps = np.zeros((steps, 2))
+            records = []
+            for t in range(steps):
+                gi = sigmoid(dec.W["i"] @ x + dec.U["i"] @ h + dec.b["i"])
+                gf = sigmoid(dec.W["f"] @ x + dec.U["f"] @ h + dec.b["f"])
+                go = sigmoid(dec.W["o"] @ x + dec.U["o"] @ h + dec.b["o"])
+                gu = np.tanh(dec.W["u"] @ x + dec.U["u"] @ h + dec.b["u"])
+                c_new = gf * c + gi * gu
+                tanh_c = np.tanh(c_new)
+                h_new = go * tanh_c
+                delta = dec.W_out @ h_new + dec.b_out
+                records.append(dict(x=x, h_prev=h, c_prev=c, gi=gi, gf=gf, go=go, gu=gu,
+                                    c=c_new, tanh_c=tanh_c, h=h_new))
+                disps[t] = delta
+                x, h, c = delta, h_new, c_new
+            positions[k, i] = last_pos[i] + np.cumsum(disps, axis=0)
+            rows.append((s, h0, records))
+    return positions, (rows if want_cache else None)
+
+
+def oracle_backward_row(model, rows, row, d_pos):
+    """MotionModel._decode_backward_agent's contract on an oracle cache."""
+    dec = model.decoder
+    s, h0, records = rows[row]
+    d_disp = np.cumsum(d_pos[::-1], axis=0)[::-1]
+    d_x_next = np.zeros(2)
+    d_h = np.zeros(dec.dec_h)
+    d_c = np.zeros(dec.dec_h)
+    for t in range(len(records) - 1, -1, -1):
+        st = records[t]
+        d_delta = d_disp[t] + d_x_next
+        dec.dW_out += np.outer(d_delta, st["h"])
+        dec.db_out += d_delta
+        d_h = d_h + dec.W_out.T @ d_delta
+        d_go = d_h * st["tanh_c"]
+        da_o = d_go * st["go"] * (1.0 - st["go"])
+        d_c = d_c + d_h * st["go"] * (1.0 - st["tanh_c"] ** 2)
+        d_gi = d_c * st["gu"]
+        da_i = d_gi * st["gi"] * (1.0 - st["gi"])
+        d_gu = d_c * st["gi"]
+        da_u = d_gu * (1.0 - st["gu"] ** 2)
+        d_gf = d_c * st["c_prev"]
+        da_f = d_gf * st["gf"] * (1.0 - st["gf"])
+        d_c = d_c * st["gf"]
+        d_x_next = (
+            dec.W["i"].T @ da_i + dec.W["f"].T @ da_f
+            + dec.W["o"].T @ da_o + dec.W["u"].T @ da_u
+        )
+        d_h = (
+            dec.U["i"].T @ da_i + dec.U["f"].T @ da_f
+            + dec.U["o"].T @ da_o + dec.U["u"].T @ da_u
+        )
+        for gate, da in (("i", da_i), ("f", da_f), ("o", da_o), ("u", da_u)):
+            dec.dW[gate] += np.outer(da, st["x"])
+            dec.dU[gate] += np.outer(da, st["h_prev"])
+            dec.db[gate] += da
+    d_a0 = d_h * (1.0 - h0 ** 2)
+    dec.dW_fuse += np.outer(d_a0, s)
+    dec.db_fuse += d_a0
+    d_s = dec.W_fuse.T @ d_a0
+    return d_s[:dec.h_enc], d_s[dec.h_enc:]
+
+
+ORACLE_SHAPES = [(1, 1, 8), (2, 3, 8), (4, 20, 32), (16, 2, 32)]  # (n, m, dec_h)
+
+
+def oracle_case(n, m, dec_h, latent, seed=0):
+    cfg = micro_cfg(dec_h=dec_h, use_latent=latent)
+    rng = Rng(seed)
+    model = MotionModel(cfg, rng)
+    randomize(model, rng, scale=0.4)
+    draw = Rng(seed + 1)
+    z = draw.normal((m, cfg.z_dim)) if latent else np.zeros((m, 0))
+    inputs = (draw.normal((n, cfg.h)), z, 12, draw.normal((n, 2)), draw.normal((n, 2)))
+    return model, inputs
+
+
+@pytest.mark.parametrize("latent", [True, False])
+@pytest.mark.parametrize("n,m,dec_h", ORACLE_SHAPES)
+def test_decode_matches_per_row_oracle_bitwise(n, m, dec_h, latent):
+    model, inputs = oracle_case(n, m, dec_h, latent)
+    pos, cache = model.decode(*inputs, want_cache=True)
+    ref, rows = oracle_decode(model, *inputs, want_cache=True)
+    assert np.array_equal(pos, ref)
+    assert np.array_equal(model.decode(*inputs)[0], ref)
+    for row, (s, h0, records) in enumerate(rows):
+        assert np.array_equal(cache.s[row], s)
+        assert np.array_equal(cache.h[0, row], h0)
+        assert not cache.c[0, row].any()
+        for t, st in enumerate(records):
+            assert np.array_equal(cache.x[t, row], st["x"])
+            assert np.array_equal(cache.h[t, row], st["h_prev"])
+            assert np.array_equal(cache.c[t, row], st["c_prev"])
+            for gate in ("gi", "gf", "go", "gu", "tanh_c"):
+                assert np.array_equal(getattr(cache, gate)[t, row], st[gate]), (row, t, gate)
+            assert np.array_equal(cache.c[t + 1, row], st["c"])
+            assert np.array_equal(cache.h[t + 1, row], st["h"])
+
+
+@pytest.mark.parametrize("latent", [True, False])
+@pytest.mark.parametrize("n,m,dec_h", ORACLE_SHAPES)
+def test_decode_backward_matches_per_row_oracle_bitwise(n, m, dec_h, latent):
+    model, inputs = oracle_case(n, m, dec_h, latent, seed=3)
+    pos, cache = model.decode(*inputs, want_cache=True)
+    _, rows = oracle_decode(model, *inputs, want_cache=True)
+    picked = [(k * n + i, Rng(50 + i).normal((12, 2))) for i in range(n) for k in {0, m - 1}]
+    outs = []
+    for backward, c in ((model._decode_backward_agent, cache),
+                        (lambda c, r, d: oracle_backward_row(model, c, r, d), rows)):
+        model.store.zero_grads()
+        returned = [backward(c, row, d_pos) for row, d_pos in picked]
+        outs.append((returned, {k: model.store.grad(k).copy() for k in model.store.names()}))
+    (got, got_grads), (want, want_grads) = outs
+    for (dh_a, dz_a), (dh_b, dz_b) in zip(got, want):
+        assert np.array_equal(dh_a, dh_b) and np.array_equal(dz_a, dz_b)
+    for name in want_grads:
+        assert np.array_equal(got_grads[name], want_grads[name]), name
+
+
+@pytest.mark.parametrize("latent", [True, False])
+@pytest.mark.parametrize("n,m,dec_h", ORACLE_SHAPES)
+def test_model_matches_oracle_decoder_bitwise(monkeypatch, n, m, dec_h, latent):
+    # predict, the loss parts and every gradient slot, against the same model
+    # with the per-row oracle decoder patched in
+    scene = make_scene("crossroad" if n > 4 else "turning", n=n, seed=n, noise=0.05)
+    lc = LossConfig(lam=0.1, m=m, pairs_per_batch=8)
+
+    def run():
+        rng = Rng(31)
+        model = MotionModel(micro_cfg(dec_h=dec_h, use_latent=latent), rng)
+        randomize(model, rng, scale=0.4)
+        preds = model.predict(scene, m, Rng(4))
+        model.store.zero_grads()
+        parts = model.loss_and_grad(scene, lc, Rng(5))
+        grads = {k: model.store.grad(k).copy() for k in model.store.names()}
+        return preds, parts, grads
+
+    preds, parts, grads = run()
+    monkeypatch.setattr(MotionModel, "decode", oracle_decode)
+    monkeypatch.setattr(MotionModel, "_decode_backward_agent", oracle_backward_row)
+    ref_preds, ref_parts, ref_grads = run()
+    assert np.array_equal(preds.positions, ref_preds.positions)
+    assert np.array_equal(preds.zs, ref_preds.zs)
+    assert parts == ref_parts
+    for name in ref_grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,27 @@ def test_config_validation():
         TrainConfig(lr=0.0)
 
 
+def test_config_rejects_bad_bool_naming_line_and_key():
+    with pytest.raises(ValueError, match="line 2: use_social"):
+        TrainConfig.from_text("m = 2\nuse_social = Ture\n")
+    for word, value in (("1", True), ("no", False), ("True", True), ("FALSE", False)):
+        assert TrainConfig.from_text(f"use_latent = {word}\n").use_latent is value
+
+
+def test_config_rejects_bad_number_naming_line_and_key():
+    with pytest.raises(ValueError, match="line 1: m expects an integer"):
+        TrainConfig.from_text("m = 2.5\n")
+
+
+@pytest.mark.parametrize("key,bad", [("precision", "16"), ("relation_mode", "cosine"),
+                                     ("sigma_transform", "exp"), ("variety_mode", "mean")])
+def test_config_rejects_values_outside_their_sets(key, bad):
+    with pytest.raises(ValueError, match=key):
+        TrainConfig.from_text(f"{key} = {bad}\n")
+    with pytest.raises(ValueError, match=key):
+        TrainConfig(**{key: bad})
+
+
 def test_default_queue_lengths():
     assert default_queue_length("eth") == 4
     assert default_queue_length("ETH-univ") == 4
@@ -224,3 +245,33 @@ def test_evaluate_nonlinear_only_filter(tmp_path):
     assert rep.n_agents == sum(s.n_agents for s in turning)  # straight walkers excluded
     with pytest.raises(ValueError):
         evaluate(model, parallel, 2, seed=3, nonlinear_only=True)
+
+
+def test_interrupted_checkpoint_save_keeps_previous(tmp_path, monkeypatch):
+    import motionq.trainer as T
+
+    cfg = micro_train_cfg(epochs=1)
+    model = build_model(cfg)
+    state = AdamState(model.store)
+    path = tmp_path / "last.ckpt"
+    save_checkpoint(path, model.store, state, cfg, 0)
+    before = path.read_bytes()
+
+    calls = []
+    real = T.write_tensors
+
+    def fail_on_second_block(fh, mapping):
+        calls.append(1)
+        if len(calls) == 2:
+            raise KeyboardInterrupt("interrupted mid-save")
+        real(fh, mapping)
+
+    monkeypatch.setattr(T, "write_tensors", fail_on_second_block)
+    model.store.value(model.store.names()[0])[...] += 1.0
+    with pytest.raises(KeyboardInterrupt):
+        save_checkpoint(path, model.store, state, cfg, 1)
+    assert len(calls) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["last.ckpt"]
+    assert path.read_bytes() == before
+    _, _, _, epoch = load_checkpoint(path)
+    assert epoch == 0
