@@ -1,7 +1,8 @@
 """motionq: queue-augmented LSTM forecasting for multi-agent motion.
 
 Each agent carries fixed-length queues of its recent hidden and cell
-features. A gated recurrent cell consumes the whole queue every frame,
+features, held for all agents as (n, q, h) arrays. A gated recurrent cell
+consumes the whole queue every frame,
 a social module refines queued features across agents through learned
 pairwise relations, and a scene-conditioned latent variable drives
 multimodal decoding. Everything, including the backward passes, is written
@@ -9,7 +10,7 @@ against numpy directly.
 """
 
 from .numkit import Rng, ParamStore, grad_check, cosine_sim, sample_gaussian
-from .queues import FeatureQueue, init_queues, push_pop, mean_hidden
+from .queues import push_pop
 from .data import SceneBatch, WindowConfig, load_trajectories, extract_windows, to_relative, synth_scene
 from .model import ModelConfig, MotionModel, PredictionSet
 from .objectives import LossConfig, MetricsReport, ade_fde, tcc, variety_loss, coherence_loss

@@ -7,6 +7,10 @@ own forget gate (one shared set of forget weights evaluated against each
 queued hidden entry). With q=1 the step reduces exactly to a vanilla LSTM
 cell.
 
+All agents of a scene step together: their queues are two (n, q, h) arrays
+and every product is one matrix-vector product per agent (numkit.rowwise),
+so each agent's numbers are bitwise what its step alone would give.
+
     g = sigmoid(W_g m + U_g mean(hidden) + b_g)      input gate
     o = sigmoid(W_o m + U_o mean(hidden) + b_o)      output gate
     u = tanh   (W_u m + U_u mean(hidden) + b_u)      candidate
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numkit import sigmoid
+from .numkit import rowwise, sigmoid
 
 __all__ = ["CellParams", "CellCache", "cell_forward", "cell_backward"]
 
@@ -30,11 +34,10 @@ class CellParams:
     """Gate weights of the queue-gated cell, registered in a ParamStore.
 
     Weights are uniform in [-1/sqrt(h), 1/sqrt(h)], biases zero except the
-    forget bias, which defaults to +1.0 (standard recurrent-cell practice;
-    configurable).
+    forget bias, which is +1.0 (standard recurrent-cell practice).
     """
 
-    def __init__(self, store, rng, d=2, h=32, prefix="cell", forget_bias=1.0):
+    def __init__(self, store, rng, d=2, h=32, prefix="cell"):
         self.d = d
         self.h = h
         self.prefix = prefix
@@ -46,9 +49,7 @@ class CellParams:
         self.dU = {}
         self.db = {}
         for gate in GATES:
-            b = np.zeros(h)
-            if gate == "f":
-                b += forget_bias
+            b = np.ones(h) if gate == "f" else np.zeros(h)
             self.W[gate] = store.add(f"{prefix}.W_{gate}", rng.uniform(-bound, bound, (h, d)))
             self.U[gate] = store.add(f"{prefix}.U_{gate}", rng.uniform(-bound, bound, (h, h)))
             self.b[gate] = store.add(f"{prefix}.b_{gate}", b)
@@ -58,7 +59,9 @@ class CellParams:
 
 
 class CellCache:
-    """Forward intermediates retained for one backward call."""
+    """Forward intermediates of one step of n agents, kept for one backward
+    call: m is (n, d), the queues and the forget gates f are (n, q, h), and
+    every other array is (n, h)."""
 
     __slots__ = ("params", "m", "hidden", "cell", "h_tilde", "g", "o", "u", "f", "tanh_c", "used")
 
@@ -76,46 +79,54 @@ class CellCache:
         self.used = False
 
 
-def cell_forward(m_t, queue, params):
-    """One gated step; returns (h_t, c_t, cache).
+def cell_forward(m_t, hidden, cell, params):
+    """One gated step for n agents; returns (h_t, c_t, cache), h_t and c_t (n, h).
 
-    Queue entries are indexed oldest first; the newest entry hidden[q-1] is
-    the previous frame. Reads the queue, never mutates it.
+    m_t is (n, d). hidden and cell are (n, q, h) queues with slots indexed
+    oldest first, so hidden[:, q-1] is the previous frame. Reads the queues,
+    never mutates them.
     """
     m_t = np.asarray(m_t, dtype=np.float64)
-    if m_t.shape != (params.d,):
-        raise ValueError(f"input width {m_t.shape} does not match cell d={params.d}")
-    if queue.h != params.h:
-        raise ValueError(f"queue width {queue.h} does not match cell h={params.h}")
-    H = queue.hidden
-    C = queue.cell
-    q = queue.q
-    h_tilde = H.mean(axis=0)
+    hidden = np.asarray(hidden, dtype=np.float64)
+    cell = np.asarray(cell, dtype=np.float64)
+    if m_t.ndim != 2 or m_t.shape[1] != params.d:
+        raise ValueError(f"inputs must be (n, {params.d}), got {m_t.shape}")
+    if hidden.ndim != 3 or hidden.shape != cell.shape or hidden.shape[1] < 1:
+        raise ValueError(f"queues must be matching (n, q, h), got {hidden.shape} and {cell.shape}")
+    if hidden.shape[0] != m_t.shape[0] or hidden.shape[2] != params.h:
+        raise ValueError(f"queues {hidden.shape} do not match {m_t.shape[0]} inputs "
+                         f"and cell h={params.h}")
+    q = hidden.shape[1]
+    W, U, b = params.W, params.U, params.b
+    h_tilde = hidden.mean(axis=1)
 
-    g = sigmoid(params.W["g"] @ m_t + params.U["g"] @ h_tilde + params.b["g"])
-    o = sigmoid(params.W["o"] @ m_t + params.U["o"] @ h_tilde + params.b["o"])
-    u = np.tanh(params.W["u"] @ m_t + params.U["u"] @ h_tilde + params.b["u"])
+    g = sigmoid(rowwise(W["g"], m_t) + rowwise(U["g"], h_tilde) + b["g"])
+    o = sigmoid(rowwise(W["o"], m_t) + rowwise(U["o"], h_tilde) + b["o"])
+    u = np.tanh(rowwise(W["u"], m_t) + rowwise(U["u"], h_tilde) + b["u"])
 
-    f = np.empty_like(H)
+    wf_m = rowwise(W["f"], m_t)
+    f = np.empty_like(hidden)
     c_t = g * u
     for idx in range(q - 1, -1, -1):  # newest slot first
-        f_idx = sigmoid(params.W["f"] @ m_t + params.U["f"] @ H[idx] + params.b["f"])
-        f[idx] = f_idx
-        c_t = c_t + f_idx * C[idx]
+        f_idx = sigmoid(wf_m + rowwise(U["f"], hidden[:, idx]) + b["f"])
+        f[:, idx] = f_idx
+        c_t = c_t + f_idx * cell[:, idx]
     tanh_c = np.tanh(c_t)
     h_t = o * tanh_c
 
-    cache = CellCache(params, m_t, H, C, h_tilde, g, o, u, f, tanh_c)
+    cache = CellCache(params, m_t, hidden, cell, h_tilde, g, o, u, f, tanh_c)
     return h_t, c_t, cache
 
 
 def cell_backward(cache, d_h, d_c, params):
     """Exact reverse-mode gradients of one cell step.
 
-    Given upstream gradients for (h_t, c_t), accumulates parameter gradients
-    into the ParamStore slots and returns (d_m, d_hidden, d_cell) where the
-    queue gradients are (q, h) arrays aligned with the forward queue slots.
-    A cache can back a single backward call; reuse raises.
+    Given (n, h) upstream gradients for (h_t, c_t), accumulates parameter
+    gradients into the ParamStore slots and returns (d_m, d_hidden, d_cell):
+    d_m is (n, d) and the queue gradients are (n, q, h), aligned with the
+    forward queue slots. Each slot adds its per-agent terms one agent at a
+    time, in agent order. A cache can back a single backward call; reuse
+    raises.
     """
     if cache.used:
         raise ValueError("stale cache: backward already consumed this forward pass")
@@ -124,7 +135,8 @@ def cell_backward(cache, d_h, d_c, params):
     cache.used = True
 
     H, C = cache.hidden, cache.cell
-    q = H.shape[0]
+    n, q, _ = H.shape
+    W, U = params.W, params.U
     d_h = np.asarray(d_h, dtype=np.float64)
     d_c = np.asarray(d_c, dtype=np.float64)
 
@@ -136,32 +148,36 @@ def cell_backward(cache, d_h, d_c, params):
     du = dc * cache.g
     da_u = du * (1.0 - cache.u ** 2)
 
-    d_htilde = params.U["g"].T @ da_g + params.U["o"].T @ da_o + params.U["u"].T @ da_u
+    d_htilde = rowwise(U["g"].T, da_g) + rowwise(U["o"].T, da_o) + rowwise(U["u"].T, da_u)
     inv_q = 1.0 / q
 
     d_hidden = np.empty_like(H)
     d_cell = np.empty_like(C)
+    da_f = np.empty_like(H)
     da_f_sum = np.zeros_like(da_g)
     for idx in range(q):
-        f_idx = cache.f[idx]
-        da_f = (dc * C[idx]) * f_idx * (1.0 - f_idx)
-        d_cell[idx] = dc * f_idx
-        d_hidden[idx] = d_htilde * inv_q + params.U["f"].T @ da_f
-        params.dU["f"] += np.outer(da_f, H[idx])
-        da_f_sum += da_f
+        f_idx = cache.f[:, idx]
+        da_f_idx = (dc * C[:, idx]) * f_idx * (1.0 - f_idx)
+        da_f[:, idx] = da_f_idx
+        d_cell[:, idx] = dc * f_idx
+        d_hidden[:, idx] = d_htilde * inv_q + rowwise(U["f"].T, da_f_idx)
+        da_f_sum += da_f_idx
 
     d_m = (
-        params.W["g"].T @ da_g
-        + params.W["o"].T @ da_o
-        + params.W["u"].T @ da_u
-        + params.W["f"].T @ da_f_sum
+        rowwise(W["g"].T, da_g)
+        + rowwise(W["o"].T, da_o)
+        + rowwise(W["u"].T, da_u)
+        + rowwise(W["f"].T, da_f_sum)
     )
 
-    for gate, da in (("g", da_g), ("o", da_o), ("u", da_u)):
-        params.dW[gate] += np.outer(da, cache.m)
-        params.dU[gate] += np.outer(da, cache.h_tilde)
-        params.db[gate] += da
-    params.dW["f"] += np.outer(da_f_sum, cache.m)
-    params.db["f"] += da_f_sum
+    for i in range(n):
+        for idx in range(q):
+            params.dU["f"] += np.outer(da_f[i, idx], H[i, idx])
+        for gate, da in (("g", da_g), ("o", da_o), ("u", da_u)):
+            params.dW[gate] += np.outer(da[i], cache.m[i])
+            params.dU[gate] += np.outer(da[i], cache.h_tilde[i])
+            params.db[gate] += da[i]
+        params.dW["f"] += np.outer(da_f_sum[i], cache.m[i])
+        params.db["f"] += da_f_sum[i]
 
     return d_m, d_hidden, d_cell

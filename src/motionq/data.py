@@ -35,7 +35,6 @@ __all__ = [
     "synth_scene",
     "synth_dataset",
     "load_manifest",
-    "leave_one_out",
 ]
 
 SYNTH_KINDS = ("parallel", "face_to_face", "turning", "crossroad")
@@ -71,7 +70,7 @@ class WindowConfig:
 class SceneBatch:
     """All agents co-present across one observation+prediction window."""
 
-    def __init__(self, positions, obs_len, smap=None, scene_id="", frame_interval=0.4):
+    def __init__(self, positions, obs_len, smap=None, scene_id=""):
         positions = np.asarray(positions, dtype=np.float64)
         if positions.ndim != 3 or positions.shape[2] != 2:
             raise ValueError(f"positions must be (n_agents, frames, 2), got {positions.shape}")
@@ -82,7 +81,6 @@ class SceneBatch:
         self.obs_len = int(obs_len)
         self.smap = smap
         self.scene_id = scene_id
-        self.frame_interval = frame_interval
 
     @property
     def n_agents(self):
@@ -402,11 +400,3 @@ def load_manifest(path, cfg, map_size=64, map_channels=2):
             prefix = os.path.splitext(os.path.basename(parts[0]))[0] + ":"
             scenes.extend(extract_windows(records, step_cfg, smap=smap, scene_prefix=prefix))
     return scenes
-
-
-def leave_one_out(names, held_out):
-    """Split a list of subset names into (train, test) with one held out."""
-    if held_out not in names:
-        raise ValueError(f"{held_out!r} not among {names}")
-    train = [n for n in names if n != held_out]
-    return train, [held_out]

@@ -15,7 +15,6 @@ from .data import synth_scene
 from .model import DecoderParams, ModelConfig, MotionModel
 from .numkit import ParamStore, Rng, grad_check
 from .objectives import LossConfig
-from .queues import FeatureQueue
 from .scene import SceneEncoderConfig, SceneEncoderParams, encode_scene, encode_scene_backward
 from .social import SocialParams, all_agents_neighbors, refine_forward, refine_backward
 
@@ -23,23 +22,32 @@ BOUND = 1e-4
 EPS = 1e-5
 
 
-def check_cell(q=3, h=8, seed=0):
-    """Loss = squared norm of (h_t, c_t) for one gated step."""
+def check_cell(n=3, q=3, h=8, seed=0):
+    """Loss = sum over agents of w_i * (|h_i|^2 + |c_i|^2) for one gated step
+    of n agents, so each agent gets its own upstream gradient.
+
+    The inputs m_t and the hidden and cell queues sit in the store beside the
+    parameters, so the sweep also covers the returned input gradients.
+    """
     rng = Rng(seed)
     store = ParamStore()
     params = CellParams(store, rng, d=2, h=h)
-    m_t = rng.normal(2)
-    queue = FeatureQueue(rng.normal((q, h)), rng.normal((q, h)))
-
-    def f(s):
-        h_t, c_t, cache = cell_forward(m_t, queue, params)
-        loss = float(h_t @ h_t + c_t @ c_t)
-        cell_backward(cache, 2.0 * h_t, 2.0 * c_t, params)
-        return loss
+    m_t = store.add("input.m", rng.normal((n, 2)))
+    hidden = store.add("input.hidden", rng.normal((n, q, h)))
+    cell = store.add("input.cell", rng.normal((n, q, h)))
+    w = np.arange(1.0, n + 1.0)[:, None]
 
     def f_value(s):
-        h_t, c_t, _ = cell_forward(m_t, queue, params)
-        return float(h_t @ h_t + c_t @ c_t)
+        h_t, c_t, _ = cell_forward(m_t, hidden, cell, params)
+        return float((w * (h_t ** 2 + c_t ** 2)).sum())
+
+    def f(s):
+        h_t, c_t, cache = cell_forward(m_t, hidden, cell, params)
+        d_m, d_hidden, d_cell = cell_backward(cache, 2.0 * w * h_t, 2.0 * w * c_t, params)
+        store.grad("input.m")[...] += d_m
+        store.grad("input.hidden")[...] += d_hidden
+        store.grad("input.cell")[...] += d_cell
+        return f_value(s)
 
     return grad_check(f, store, eps=EPS, f_value=f_value)
 
@@ -49,21 +57,16 @@ def check_social(n=3, q=2, h=6, seed=0, mode="signed"):
     rng = Rng(seed)
     store = ParamStore()
     params = SocialParams(store, rng, h)
-    queues = [FeatureQueue(rng.normal((q, h)), rng.normal((q, h))) for _ in range(n)]
+    hidden = rng.normal((n, 2, q, h))[:, 0]  # [:, 1] is unused; it keeps this seed's point
     neighbors = all_agents_neighbors(n)
 
-    def forward():
-        out, cache = refine_forward(queues, neighbors, params, mode=mode)
-        refined = np.stack([qu.hidden for qu in out])
-        return refined, cache
-
     def f(s):
-        refined, cache = forward()
+        refined, cache = refine_forward(hidden, neighbors, params, mode=mode)
         refine_backward(cache, 2.0 * refined, params)
         return float((refined ** 2).sum())
 
     def f_value(s):
-        refined, _ = forward()
+        refined, _ = refine_forward(hidden, neighbors, params, mode=mode)
         return float((refined ** 2).sum())
 
     return grad_check(f, store, eps=EPS, f_value=f_value)

@@ -1,13 +1,14 @@
 """Encoder-decoder assembly.
 
-Observation runs frame by frame: every agent's queue-gated cell step, then a
-queue push/pop, then (optionally) the social refinement of all hidden queues
-across agents. The final hidden features are fused with a scene-conditioned
-latent draw and rolled out by a vanilla LSTM decoder that emits per-frame
-displacements, feeding each displacement back as the next input. All m x n
-(sample, agent) rows roll out together, one matrix-vector product per row,
-so each row is bitwise the rollout it would be alone; training backpropagates
-only each agent's best-of-m row. Absolute positions are cumulative sums from
+Observation runs frame by frame on two (n, q, h) queue arrays, hidden and
+cell: one queue-gated cell step for all agents, then a queue push/pop, then
+(optionally) the social refinement of the hidden queues across agents. The
+final hidden features are fused with a scene-conditioned latent draw and
+rolled out by a vanilla LSTM decoder that emits per-frame displacements,
+feeding each displacement back as the next input. All m x n (sample, agent)
+rows roll out together, one matrix-vector product per row, so each row is
+bitwise the rollout it would be alone; training backpropagates only each
+agent's best-of-m row. Absolute positions are cumulative sums from
 the last observed position, which makes every prediction translate exactly
 with the inputs.
 
@@ -24,14 +25,14 @@ import numpy as np
 
 from .cell import CellParams, cell_forward, cell_backward
 from .data import to_relative
-from .numkit import ParamStore, sigmoid
+from .numkit import ParamStore, rowwise, sigmoid
 from .objectives import (
     coherence_forward,
     coherence_backward,
     variety_forward,
     variety_backward,
 )
-from .queues import init_queues, push_pop
+from .queues import push_pop
 from .scene import (
     SceneEncoderConfig,
     SceneEncoderParams,
@@ -39,14 +40,7 @@ from .scene import (
     encode_scene_backward,
     sample_latent,
 )
-from .social import (
-    SocialParams,
-    all_agents_neighbors,
-    radius_neighbors,
-    refine_forward,
-    refine_hidden_queues,
-    refine_backward,
-)
+from .social import SocialParams, all_agents_neighbors, refine_forward, refine_backward
 
 __all__ = [
     "ModelConfig",
@@ -79,8 +73,6 @@ class ModelConfig:
     sigma_transform: str = "sigmoid"
     sigma_bias: float = 0.0
     relation_mode: str = "signed"
-    neighbor_radius: float | None = None
-    forget_bias: float = 1.0
 
     def scene_encoder_config(self):
         return SceneEncoderConfig(
@@ -99,7 +91,7 @@ class ModelConfig:
 class DecoderParams:
     """Vanilla LSTM decoder cell plus the fusion and output projections."""
 
-    def __init__(self, store, rng, h_enc, z_dim, dec_h=32, prefix="decoder", forget_bias=1.0):
+    def __init__(self, store, rng, h_enc, z_dim, dec_h=32, prefix="decoder"):
         self.h_enc = h_enc
         self.z_dim = z_dim
         self.dec_h = dec_h
@@ -111,9 +103,7 @@ class DecoderParams:
         self.dU = {}
         self.db = {}
         for gate in DEC_GATES:
-            b = np.zeros(dec_h)
-            if gate == "f":
-                b += forget_bias
+            b = np.ones(dec_h) if gate == "f" else np.zeros(dec_h)
             self.W[gate] = store.add(f"{prefix}.W_{gate}", rng.uniform(-bound, bound, (dec_h, 2)))
             self.U[gate] = store.add(f"{prefix}.U_{gate}", rng.uniform(-bound, bound, (dec_h, dec_h)))
             self.b[gate] = store.add(f"{prefix}.b_{gate}", b)
@@ -134,9 +124,10 @@ class DecoderParams:
 
 @dataclass
 class EncoderState:
-    """Per-agent queues after the last observation frame plus feature history."""
+    """Queues after the last observation frame plus feature history."""
 
-    queues: list
+    hidden: np.ndarray            # (n, q, h) hidden queues, oldest slot first
+    cell: np.ndarray              # (n, q, h) cell queues
     h_obs: np.ndarray             # (n, h) newest hidden entries after final refinement
     features: np.ndarray          # (n, obs_len, h) per-frame post-refinement features
     cells: np.ndarray | None = None  # (n, obs_len, h) newest cell entries, on request
@@ -180,16 +171,6 @@ class _DecCache:
         self.tanh_c = np.zeros((steps, rows, dec_h))
 
 
-def _rowwise(W, X):
-    """W @ X[r] for every row r of X, as one matrix-vector product per row.
-
-    np.matmul over a stack of columns runs the same BLAS gemv per row as
-    `W @ x` does, so each row is bitwise what it would be alone; X @ W.T
-    (one gemm) would reassociate the sums.
-    """
-    return np.matmul(W, X[:, :, None])[:, :, 0]
-
-
 class MotionModel:
     """Full forecaster: queue-gated encoder, social refinement, latent fusion,
     LSTM decoder, and the training objective with hand-derived gradients."""
@@ -197,33 +178,23 @@ class MotionModel:
     def __init__(self, cfg: ModelConfig, rng, dtype=np.float64):
         self.cfg = cfg
         self.store = ParamStore(dtype)
-        self.cell = CellParams(self.store, rng, d=cfg.d, h=cfg.h, forget_bias=cfg.forget_bias)
+        self.cell = CellParams(self.store, rng, d=cfg.d, h=cfg.h)
         self.social = SocialParams(self.store, rng, cfg.h) if cfg.use_social else None
         self.scene_enc = (
             SceneEncoderParams(self.store, rng, cfg.scene_encoder_config())
             if cfg.use_latent else None
         )
         z_dim = cfg.z_dim if cfg.use_latent else 0
-        self.decoder = DecoderParams(
-            self.store, rng, h_enc=cfg.h, z_dim=z_dim, dec_h=cfg.dec_h,
-            forget_bias=cfg.forget_bias,
-        )
+        self.decoder = DecoderParams(self.store, rng, h_enc=cfg.h, z_dim=z_dim, dec_h=cfg.dec_h)
 
     # ------------------------------------------------------------------ encoder
 
-    def neighbor_sets(self, scene):
-        n = scene.n_agents
-        if self.cfg.neighbor_radius is None:
-            return all_agents_neighbors(n)
-        last = scene.positions[:, scene.obs_len - 1]
-        return radius_neighbors(last, self.cfg.neighbor_radius)
-
-    def observe(self, obs_disp, neighbors=None, want_tape=False, want_cells=False):
+    def observe(self, obs_disp, want_tape=False, want_cells=False):
         """Run the observation frames; returns the EncoderState.
 
-        obs_disp is (n_agents, obs_len, 2) displacement form. Per frame:
-        cell step for every agent, queue push/pop, then social refinement of
-        the hidden queues across agents (a per-frame barrier).
+        obs_disp is (n_agents, obs_len, 2) displacement form. Per frame: one
+        cell step for all agents, queue push/pop, then social refinement of
+        the hidden queues across all agents (a per-frame barrier).
         """
         obs_disp = np.asarray(obs_disp, dtype=np.float64)
         if obs_disp.ndim != 3 or obs_disp.shape[2] != self.cfg.d:
@@ -233,40 +204,27 @@ class MotionModel:
             raise ValueError("need at least one observation frame")
         if not np.all(np.isfinite(obs_disp)):
             raise ValueError("agent missing or non-finite input inside the window")
-        if neighbors is None:
-            neighbors = all_agents_neighbors(n)
+        neighbors = all_agents_neighbors(n)
 
-        queues = init_queues(n, self.cfg.q, self.cfg.h)
+        hidden = np.zeros((n, self.cfg.q, self.cfg.h))
+        cell = np.zeros((n, self.cfg.q, self.cfg.h))
         features = np.zeros((n, t_obs, self.cfg.h))
         cells = np.zeros((n, t_obs, self.cfg.h)) if want_cells else None
         tape = [] if want_tape else None
         for t in range(t_obs):
-            cell_caches = [] if want_tape else None
-            hs = []
-            cs = []
-            for i in range(n):
-                h_t, c_t, cache = cell_forward(obs_disp[i, t], queues[i], self.cell)
-                hs.append(h_t)
-                cs.append(c_t)
-                if want_tape:
-                    cell_caches.append(cache)
-            queues = [push_pop(queues[i], hs[i], cs[i]) for i in range(n)]
+            h_t, c_t, cell_cache = cell_forward(obs_disp[:, t], hidden, cell, self.cell)
+            hidden, cell = push_pop(hidden, cell, h_t, c_t)
             refine_cache = None
             if self.social is not None:
-                if want_tape:
-                    queues, refine_cache = refine_forward(
-                        queues, neighbors, self.social, mode=self.cfg.relation_mode)
-                else:
-                    queues = refine_hidden_queues(
-                        queues, neighbors, self.social, mode=self.cfg.relation_mode)
-            for i in range(n):
-                features[i, t] = queues[i].hidden[-1]
-                if want_cells:
-                    cells[i, t] = queues[i].cell[-1]
+                hidden, refine_cache = refine_forward(
+                    hidden, neighbors, self.social, mode=self.cfg.relation_mode)
+            features[:, t] = hidden[:, -1]
+            if want_cells:
+                cells[:, t] = cell[:, -1]
             if want_tape:
-                tape.append((cell_caches, refine_cache))
+                tape.append((cell_cache, refine_cache))
         h_obs = features[:, -1].copy()
-        return EncoderState(queues, h_obs, features, cells=cells, tape=tape)
+        return EncoderState(hidden, cell, h_obs, features, cells=cells, tape=tape)
 
     def _observe_backward(self, state, d_h_obs, d_features):
         """Backpropagate through the whole observation loop (needs a tape)."""
@@ -278,17 +236,16 @@ class MotionModel:
         for t in range(t_obs - 1, -1, -1):
             if d_features is not None:
                 d_hid[:, -1] += d_features[:, t]
-            cell_caches, refine_cache = state.tape[t]
+            cell_cache, refine_cache = state.tape[t]
             if refine_cache is not None:
                 d_hid = refine_backward(refine_cache, d_hid, self.social)
             d_hid_prev = np.zeros_like(d_hid)
             d_cell_prev = np.zeros_like(d_cell)
             d_hid_prev[:, 1:] += d_hid[:, :-1]
             d_cell_prev[:, 1:] += d_cell[:, :-1]
-            for i in range(n):
-                _, dh_q, dc_q = cell_backward(cell_caches[i], d_hid[i, -1], d_cell[i, -1], self.cell)
-                d_hid_prev[i] += dh_q
-                d_cell_prev[i] += dc_q
+            _, dh_q, dc_q = cell_backward(cell_cache, d_hid[:, -1], d_cell[:, -1], self.cell)
+            d_hid_prev += dh_q
+            d_cell_prev += dc_q
             d_hid, d_cell = d_hid_prev, d_cell_prev
         # remaining gradients land on the zero-initialized queues
 
@@ -313,20 +270,20 @@ class MotionModel:
         n, m = h_obs.shape[0], z.shape[0]
         dec = self.decoder
         s = np.concatenate([np.tile(h_obs, (m, 1)), np.repeat(z, n, axis=0)], axis=1)
-        h = np.tanh(_rowwise(dec.W_fuse, s) + dec.b_fuse)
+        h = np.tanh(rowwise(dec.W_fuse, s) + dec.b_fuse)
         c = np.zeros_like(h)
         x = np.tile(np.asarray(last_disp, dtype=np.float64), (m, 1))
         disps = np.zeros((m * n, steps, 2))
         cache = _DecCache(s, h, steps) if want_cache else None
         for t in range(steps):
-            gi = sigmoid(_rowwise(dec.W["i"], x) + _rowwise(dec.U["i"], h) + dec.b["i"])
-            gf = sigmoid(_rowwise(dec.W["f"], x) + _rowwise(dec.U["f"], h) + dec.b["f"])
-            go = sigmoid(_rowwise(dec.W["o"], x) + _rowwise(dec.U["o"], h) + dec.b["o"])
-            gu = np.tanh(_rowwise(dec.W["u"], x) + _rowwise(dec.U["u"], h) + dec.b["u"])
+            gi = sigmoid(rowwise(dec.W["i"], x) + rowwise(dec.U["i"], h) + dec.b["i"])
+            gf = sigmoid(rowwise(dec.W["f"], x) + rowwise(dec.U["f"], h) + dec.b["f"])
+            go = sigmoid(rowwise(dec.W["o"], x) + rowwise(dec.U["o"], h) + dec.b["o"])
+            gu = np.tanh(rowwise(dec.W["u"], x) + rowwise(dec.U["u"], h) + dec.b["u"])
             c_new = gf * c + gi * gu
             tanh_c = np.tanh(c_new)
             h_new = go * tanh_c
-            delta = _rowwise(dec.W_out, h_new) + dec.b_out
+            delta = rowwise(dec.W_out, h_new) + dec.b_out
             if want_cache:
                 cache.x[t] = x
                 cache.gi[t], cache.gf[t], cache.go[t], cache.gu[t] = gi, gf, go, gu
@@ -394,7 +351,7 @@ class MotionModel:
             raise ValueError("m must be >= 1")
         disp = to_relative(scene.positions)
         obs_disp = disp[:, :scene.obs_len]
-        state = self.observe(obs_disp, neighbors=self.neighbor_sets(scene))
+        state = self.observe(obs_disp)
         if steps is None:
             steps = scene.pred_len if scene.pred_len > 0 else self.cfg.pred_len
         last_pos = scene.positions[:, scene.obs_len - 1]
@@ -430,8 +387,7 @@ class MotionModel:
         last_pos = scene.positions[:, scene.obs_len - 1]
         last_disp = obs_disp[:, -1]
 
-        state = self.observe(
-            obs_disp, neighbors=self.neighbor_sets(scene), want_tape=with_grad)
+        state = self.observe(obs_disp, want_tape=with_grad)
 
         scene_cache = None
         eps_draws = None
@@ -488,7 +444,7 @@ class MotionModel:
         """
         disp = to_relative(scene.positions)
         obs_disp = disp[:, :scene.obs_len]
-        state = self.observe(obs_disp, neighbors=self.neighbor_sets(scene), want_cells=True)
+        state = self.observe(obs_disp, want_cells=True)
         rows = []
         for i in range(scene.n_agents):
             for t in range(scene.obs_len):

@@ -1,9 +1,10 @@
 """Shared numeric primitives: activations, deterministic RNG, named parameter
 storage with gradient slots, and a finite-difference gradient checker.
 
-Vectors are 1-D numpy arrays and matrices 2-D; no wrapper types. Tests run
-everything in float64 (central differences are unusable at float32); training
-may opt into float32 through the ParamStore dtype.
+Vectors are 1-D numpy arrays and matrices 2-D; no wrapper types. A batch of
+vectors is a 2-D array with one vector per row. Tests run everything in
+float64 (central differences are unusable at float32); training may opt into
+float32 through the ParamStore dtype.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 __all__ = [
     "check_finite",
     "sigmoid",
+    "rowwise",
     "relu",
     "softplus",
     "cosine_sim",
@@ -41,6 +43,16 @@ def sigmoid(x):
     pos = x >= 0
     ex = np.exp(np.where(pos, -x, x))  # argument always <= 0, no overflow
     return np.where(pos, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+
+
+def rowwise(W, X):
+    """W @ X[r] for every row r of X, as one matrix-vector product per row.
+
+    np.matmul over a stack of columns runs the same BLAS gemv per row as
+    `W @ x` does, so each row is bitwise what it would be alone; X @ W.T
+    (one gemm) would reassociate the sums.
+    """
+    return np.matmul(W, X[:, :, None])[:, :, 0]
 
 
 def relu(x):

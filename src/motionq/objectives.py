@@ -27,7 +27,6 @@ __all__ = [
     "variety_loss",
     "variety_forward",
     "variety_backward",
-    "total_loss",
     "ade_fde",
     "tcc",
     "best_of_m_metrics",
@@ -176,12 +175,6 @@ def variety_loss(gt, preds, mode="concat"):
     """Mean over agents of the minimum-over-samples trajectory error."""
     value, _ = variety_forward(gt, preds, mode)
     return value
-
-
-def total_loss(scene, model, cfg, rng):
-    """lam * coherence + variety for one scene under the given model."""
-    parts = model.loss(scene, cfg, rng)
-    return parts["total"]
 
 
 # ---------------------------------------------------------------------------

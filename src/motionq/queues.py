@@ -1,68 +1,28 @@
-"""Per-agent fixed-length queues of hidden and cell features.
+"""Fixed-length queues of hidden and cell features, held as arrays.
 
-A queue holds the last q hidden vectors and the last q cell vectors, oldest
-first. Queues are value-semantic: push_pop returns a fresh queue and entries
-are treated as immutable once stored.
+A scene's queues are two (n, q, h) arrays: for each of the n agents, its
+last q hidden vectors and its last q cell vectors, oldest first.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numkit import check_finite
-
-__all__ = ["FeatureQueue", "init_queues", "push_pop", "mean_hidden"]
+__all__ = ["push_pop"]
 
 
-class FeatureQueue:
-    """q hidden vectors and q cell vectors of width h, oldest first."""
+def push_pop(hidden, cell, h_t, c_t):
+    """Append each agent's newest (hidden, cell) pair and drop its oldest.
 
-    __slots__ = ("hidden", "cell")
-
-    def __init__(self, hidden, cell, copy=True, checked=True):
-        hidden = np.array(hidden, dtype=np.float64, copy=copy)
-        cell = np.array(cell, dtype=np.float64, copy=copy)
-        if hidden.ndim != 2 or hidden.shape != cell.shape:
-            raise ValueError(f"queue arrays must be matching (q, h), got {hidden.shape} and {cell.shape}")
-        if checked:
-            check_finite(hidden, "queue hidden")
-            check_finite(cell, "queue cell")
-        self.hidden = hidden
-        self.cell = cell
-
-    @property
-    def q(self):
-        return self.hidden.shape[0]
-
-    @property
-    def h(self):
-        return self.hidden.shape[1]
-
-    def __repr__(self):
-        return f"FeatureQueue(q={self.q}, h={self.h})"
-
-
-def init_queues(n_agents, q, h):
-    """One all-zero queue per agent."""
-    if n_agents < 1 or q < 1 or h < 1:
-        raise ValueError(f"n_agents, q, h must all be >= 1, got {(n_agents, q, h)}")
-    return [
-        FeatureQueue(np.zeros((q, h)), np.zeros((q, h)), copy=False, checked=False)
-        for _ in range(n_agents)
-    ]
-
-
-def push_pop(queue, h_t, c_t):
-    """Append the newest (hidden, cell) pair and drop the oldest; length stays q."""
+    hidden and cell are (n, q, h), h_t and c_t are (n, h); returns fresh
+    (n, q, h) arrays and leaves the inputs as they are.
+    """
     h_t = np.asarray(h_t, dtype=np.float64)
     c_t = np.asarray(c_t, dtype=np.float64)
-    if h_t.shape != (queue.h,) or c_t.shape != (queue.h,):
-        raise ValueError(f"pushed vectors must have width {queue.h}, got {h_t.shape} and {c_t.shape}")
-    hidden = np.vstack([queue.hidden[1:], h_t])
-    cell = np.vstack([queue.cell[1:], c_t])
-    return FeatureQueue(hidden, cell, copy=False, checked=False)
-
-
-def mean_hidden(queue):
-    """Mean of the queued hidden vectors; with q=1 this is the single entry."""
-    return queue.hidden.mean(axis=0)
+    if hidden.ndim != 3 or hidden.shape != cell.shape or min(hidden.shape) < 1:
+        raise ValueError(f"queues must be matching non-empty (n, q, h), got {hidden.shape} and {cell.shape}")
+    n, _, h = hidden.shape
+    if h_t.shape != (n, h) or c_t.shape != (n, h):
+        raise ValueError(f"pushed arrays must be ({n}, {h}), got {h_t.shape} and {c_t.shape}")
+    return (np.concatenate([hidden[:, 1:], h_t[:, None]], axis=1),
+            np.concatenate([cell[:, 1:], c_t[:, None]], axis=1))

@@ -1,4 +1,4 @@
-"""Social refinement of hidden feature queues.
+"""Social refinement of the hidden feature queues.
 
 Each agent's queued hidden vector at frame offset s is replaced by a residual
 sum over the same-offset entries of its neighbors, weighted by a learned
@@ -7,9 +7,10 @@ pairwise relation score:
     rel(x_i, x_j) = (W_theta x_i) . (W_phi x_j)
     x_i <- x_i + (1/Z_i) * sum_j rel(x_i, x_j) * (W_g x_j),   Z_i = sum_j rel(x_i, x_j)
 
-Cell queues pass through untouched. The raw relation scores can sum to zero
-or a negative value; when |Z| < z_eps the refinement for that (agent, slot)
-is skipped and the entry kept as-is. A softmax weighting over the scores is
+Only the (n, q, h) hidden array is refined; cell queues are not an input.
+The raw relation scores can sum to zero or a negative value; when
+|Z| < z_eps the refinement for that (agent, slot) is skipped and the entry
+kept as-is. A softmax weighting over the scores is
 available behind relation_mode="softmax".
 """
 
@@ -17,14 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .queues import FeatureQueue
-
 __all__ = [
     "SocialParams",
     "relation",
     "all_agents_neighbors",
-    "radius_neighbors",
-    "refine_hidden_queues",
     "refine_forward",
     "refine_backward",
 ]
@@ -60,24 +57,10 @@ def all_agents_neighbors(n_agents):
     return [list(range(n_agents)) for _ in range(n_agents)]
 
 
-def radius_neighbors(last_positions, radius):
-    """Neighbors within a Euclidean radius of each agent's last observed position."""
-    pos = np.asarray(last_positions, dtype=np.float64)
-    n = pos.shape[0]
-    out = []
-    for i in range(n):
-        dist = np.linalg.norm(pos - pos[i], axis=1)
-        idx = [j for j in range(n) if j == i or dist[j] <= radius]
-        out.append(idx)
-    return out
-
-
-def _validate(queues, neighbors):
-    n = len(queues)
-    q, h = queues[0].q, queues[0].h
-    for qu in queues:
-        if qu.q != q or qu.h != h:
-            raise ValueError("all queues must share (q, h)")
+def _validate(hidden, neighbors, params):
+    if hidden.ndim != 3 or hidden.shape[2] != params.h:
+        raise ValueError(f"hidden queues must be (n, q, {params.h}), got {hidden.shape}")
+    n, q, h = hidden.shape
     if len(neighbors) != n:
         raise ValueError(f"neighbor sets ({len(neighbors)}) do not match agent count ({n})")
     for i, idx in enumerate(neighbors):
@@ -103,17 +86,17 @@ class RefineCache:
         self.used = False
 
 
-def refine_forward(queues, neighbors, params, mode="signed", z_eps=Z_EPS):
-    """Refine all hidden queues; returns (new queues, cache for backward).
+def refine_forward(hidden, neighbors, params, mode="signed", z_eps=Z_EPS):
+    """Refine the (n, q, h) hidden queues; returns (refined copy, cache for backward).
 
-    All reads use the pre-refinement snapshot (no sequential aliasing) and
-    each slot offset is refined independently of the others. Cell arrays are
-    carried over into the returned queues unchanged.
+    All reads use the pre-refinement input (no sequential aliasing), which is
+    left as it is, and each slot offset is refined independently of the
+    others.
     """
-    n, q, h = _validate(queues, neighbors)
+    X = np.asarray(hidden, dtype=np.float64)
+    n, q, h = _validate(X, neighbors, params)
     idx_arrays = [np.asarray(ix, dtype=np.intp) for ix in neighbors]
 
-    X = np.stack([qu.hidden for qu in queues])  # (n, q, h) pre-refinement snapshot
     refined = X.copy()
     Ts = np.empty((q, n, h))
     Ps = np.empty((q, n, h))
@@ -145,18 +128,8 @@ def refine_forward(queues, neighbors, params, mode="signed", z_eps=Z_EPS):
             slot_info.append((w, z))
         per_agent.append(slot_info)
 
-    out = [
-        FeatureQueue(refined[i], queues[i].cell, copy=False, checked=False)
-        for i in range(n)
-    ]
     cache = RefineCache(params, X, Ts, Ps, Gs, per_agent, idx_arrays, mode)
-    return out, cache
-
-
-def refine_hidden_queues(queues, neighbors, params, mode="signed", z_eps=Z_EPS):
-    """Forward-only refinement (see refine_forward)."""
-    out, _ = refine_forward(queues, neighbors, params, mode=mode, z_eps=z_eps)
-    return out
+    return refined, cache
 
 
 def refine_backward(cache, d_hidden_out, params):
@@ -164,8 +137,8 @@ def refine_backward(cache, d_hidden_out, params):
 
     d_hidden_out is (n, q, h) aligned with the refined queues. Accumulates
     into the W_theta / W_phi / W_g gradient slots and returns the (n, q, h)
-    gradient for the input queues. Cell gradients are the caller's identity
-    pass-through (cells are untouched by refinement).
+    gradient for the input queues. Cells are not refined, so their
+    gradients need no backward here.
     """
     if cache.used:
         raise ValueError("stale cache: backward already consumed this refinement")

@@ -25,7 +25,6 @@ from .objectives import (
 
 __all__ = [
     "TrainConfig",
-    "default_queue_length",
     "AdamState",
     "adam_step",
     "build_model",
@@ -34,16 +33,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
 ]
-
-
-def default_queue_length(dataset):
-    """Queue length defaults per dataset family: 4 for ETH, 2 for ZARA, else 3."""
-    name = dataset.lower()
-    if name.startswith("eth"):
-        return 4
-    if name.startswith("zara"):
-        return 2
-    return 3
 
 
 BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}

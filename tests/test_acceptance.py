@@ -13,6 +13,7 @@ import scipy.stats
 from motionq import gradchecks
 from motionq.cell import CellParams, cell_backward, cell_forward
 from motionq.data import synth_dataset
+from motionq.model import ModelConfig, MotionModel
 from motionq.numkit import ParamStore, Rng
 from motionq.objectives import (
     LossConfig,
@@ -22,8 +23,7 @@ from motionq.objectives import (
     tcc,
     variety_loss,
 )
-from motionq.queues import FeatureQueue
-from motionq.social import SocialParams, all_agents_neighbors, refine_hidden_queues
+from motionq.social import SocialParams, all_agents_neighbors, refine_forward
 from motionq.trainer import TrainConfig, evaluate, load_checkpoint, train
 
 from test_cell import lstm_oracle_backward, lstm_oracle_forward, oracle_params_from_cell
@@ -56,18 +56,18 @@ def test_criterion_1_degeneration_equivalence():
         d_h = rng.normal(8)
         d_c = rng.normal(8)
 
-        h_t, c_t, cache = cell_forward(m_t, FeatureQueue(h_prev[None], c_prev[None]), params)
+        h_t, c_t, cache = cell_forward(m_t[None], h_prev[None, None], c_prev[None, None], params)
         h_ref, c_ref, ocache = lstm_oracle_forward(m_t, h_prev, c_prev, oracle_p)
-        worst = max(worst, np.abs(h_t - h_ref).max(), np.abs(c_t - c_ref).max())
+        worst = max(worst, np.abs(h_t[0] - h_ref).max(), np.abs(c_t[0] - c_ref).max())
 
         store.zero_grads()
-        d_m, d_hid, d_cel = cell_backward(cache, d_h, d_c, params)
+        d_m, d_hid, d_cel = cell_backward(cache, d_h[None], d_c[None], params)
         d_x_ref, d_h_ref, d_c_ref, grads_ref = lstm_oracle_backward(ocache, d_h, d_c, oracle_p)
         worst = max(
             worst,
-            np.abs(d_m - d_x_ref).max(),
-            np.abs(d_hid[0] - d_h_ref).max(),
-            np.abs(d_cel[0] - d_c_ref).max(),
+            np.abs(d_m[0] - d_x_ref).max(),
+            np.abs(d_hid[0, 0] - d_h_ref).max(),
+            np.abs(d_cel[0, 0] - d_c_ref).max(),
         )
         for gate, og in (("g", "i"), ("f", "f"), ("o", "o"), ("u", "u")):
             worst = max(
@@ -98,19 +98,27 @@ def test_criterion_3_social_refinement_contract():
     for n in (2, 3, 4):
         store = ParamStore()
         params = SocialParams(store, rng, 6)
-        queues = [FeatureQueue(rng.normal((3, 6)), rng.normal((3, 6))) for _ in range(n)]
-        cells_before = [qu.cell.copy() for qu in queues]
+        hidden, cell = np.moveaxis(rng.normal((n, 2, 3, 6)), 1, 0)  # drawn agent by agent
+        before = hidden.copy()
         neighbors = all_agents_neighbors(n)
-        out = refine_hidden_queues(queues, neighbors, params)
-        expected = refine_oracle(np.stack([qu.hidden for qu in queues]), neighbors,
-                                 params.W_theta, params.W_phi, params.W_g)
-        diff = max(np.abs(out[i].hidden - expected[i]).max() for i in range(n))
-        cells_ok = all(np.array_equal(out[i].cell, cells_before[i]) for i in range(n))
+        out, _ = refine_forward(hidden, neighbors, params)
+        expected = refine_oracle(hidden, neighbors, params.W_theta, params.W_phi, params.W_g)
+        diff = np.abs(out - expected).max()
+        # cells are untouched: refinement leaves its input as it is, and the
+        # encoder's cell history holds exactly each frame's cell-step c_t
+        model_rng = Rng(310 + n)
+        model = MotionModel(ModelConfig(h=6, q=3, dec_h=4, use_latent=False), model_rng)
+        obs_disp = model_rng.normal((n, 5, 2))
+        state = model.observe(obs_disp, want_tape=True, want_cells=True)
+        steps = [cell_forward(obs_disp[:, t], cache.hidden, cache.cell, model.cell)[1]
+                 for t, (cache, _) in enumerate(state.tape)]
+        cells_ok = (np.array_equal(hidden, before)
+                    and np.array_equal(state.cells, np.stack(steps, axis=1)))
         ok = ok and diff < 1e-12 and cells_ok
         detail.append(f"n={n} oracle diff {diff:.2e} cells {'bitwise' if cells_ok else 'CHANGED'}")
         params.W_g[...] = 0.0
-        out0 = refine_hidden_queues(queues, neighbors, params)
-        ident = max(np.abs(out0[i].hidden - queues[i].hidden).max() for i in range(n))
+        out0, _ = refine_forward(hidden, neighbors, params)
+        ident = np.abs(out0 - hidden).max()
         ok = ok and ident < 1e-15
     report(3, "social refinement contract", ok, "; ".join(detail))
 

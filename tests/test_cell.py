@@ -3,7 +3,6 @@ import pytest
 
 from motionq.cell import CellParams, cell_backward, cell_forward
 from motionq.numkit import ParamStore, Rng, grad_check, sigmoid
-from motionq.queues import FeatureQueue, init_queues
 
 
 # ---------------------------------------------------------------------------
@@ -59,10 +58,82 @@ def oracle_params_from_cell(params):
     }
 
 
-def make_cell(rng, d=2, h=8, forget_bias=1.0):
+# ---------------------------------------------------------------------------
+# oracle: the queue cell stepped one agent at a time on a (q, h) queue, the
+# arithmetic and accumulation order the batched cell must match bitwise
+
+
+def per_agent_forward(m_t, H, C, params):
+    h_tilde = H.mean(axis=0)
+    g = sigmoid(params.W["g"] @ m_t + params.U["g"] @ h_tilde + params.b["g"])
+    o = sigmoid(params.W["o"] @ m_t + params.U["o"] @ h_tilde + params.b["o"])
+    u = np.tanh(params.W["u"] @ m_t + params.U["u"] @ h_tilde + params.b["u"])
+    f = np.empty_like(H)
+    c_t = g * u
+    for idx in range(H.shape[0] - 1, -1, -1):  # newest slot first
+        f_idx = sigmoid(params.W["f"] @ m_t + params.U["f"] @ H[idx] + params.b["f"])
+        f[idx] = f_idx
+        c_t = c_t + f_idx * C[idx]
+    tanh_c = np.tanh(c_t)
+    h_t = o * tanh_c
+    cache = dict(m=m_t, hidden=H, cell=C, h_tilde=h_tilde, g=g, o=o, u=u, f=f, tanh_c=tanh_c)
+    return h_t, c_t, cache
+
+
+def per_agent_backward(cache, d_h, d_c, params):
+    H, C = cache["hidden"], cache["cell"]
+    q = H.shape[0]
+    do = d_h * cache["tanh_c"]
+    da_o = do * cache["o"] * (1.0 - cache["o"])
+    dc = d_c + d_h * cache["o"] * (1.0 - cache["tanh_c"] ** 2)
+    dg = dc * cache["u"]
+    da_g = dg * cache["g"] * (1.0 - cache["g"])
+    du = dc * cache["g"]
+    da_u = du * (1.0 - cache["u"] ** 2)
+    d_htilde = params.U["g"].T @ da_g + params.U["o"].T @ da_o + params.U["u"].T @ da_u
+    d_hidden = np.empty_like(H)
+    d_cell = np.empty_like(C)
+    da_f_sum = np.zeros_like(da_g)
+    for idx in range(q):
+        f_idx = cache["f"][idx]
+        da_f = (dc * C[idx]) * f_idx * (1.0 - f_idx)
+        d_cell[idx] = dc * f_idx
+        d_hidden[idx] = d_htilde * (1.0 / q) + params.U["f"].T @ da_f
+        params.dU["f"] += np.outer(da_f, H[idx])
+        da_f_sum += da_f
+    d_m = (params.W["g"].T @ da_g + params.W["o"].T @ da_o
+           + params.W["u"].T @ da_u + params.W["f"].T @ da_f_sum)
+    for gate, da in (("g", da_g), ("o", da_o), ("u", da_u)):
+        params.dW[gate] += np.outer(da, cache["m"])
+        params.dU[gate] += np.outer(da, cache["h_tilde"])
+        params.db[gate] += da
+    params.dW["f"] += np.outer(da_f_sum, cache["m"])
+    params.db["f"] += da_f_sum
+    return d_m, d_hidden, d_cell
+
+
+def oracle_cell_forward(m_t, hidden, cell, params):
+    """Drop-in for cell_forward that steps each agent alone; the cache is
+    the list of per-agent caches."""
+    steps = [per_agent_forward(m_t[i], hidden[i], cell[i], params) for i in range(len(m_t))]
+    return np.stack([s[0] for s in steps]), np.stack([s[1] for s in steps]), [s[2] for s in steps]
+
+
+def oracle_cell_backward(caches, d_h, d_c, params):
+    """Drop-in for cell_backward over oracle_cell_forward's caches, agent by agent."""
+    outs = [per_agent_backward(c, d_h[i], d_c[i], params) for i, c in enumerate(caches)]
+    return tuple(np.stack(parts) for parts in zip(*outs))
+
+
+def make_cell(rng, d=2, h=8):
     store = ParamStore()
-    params = CellParams(store, rng, d=d, h=h, forget_bias=forget_bias)
+    params = CellParams(store, rng, d=d, h=h)
     return store, params
+
+
+def step(m_t, hid, cel, params):
+    """One agent's step: (d,) input and (q, h) queues as a batch of one."""
+    return cell_forward(m_t[None], hid[None], cel[None], params)
 
 
 def randomize(store, rng, scale=0.8):
@@ -80,8 +151,8 @@ def test_zero_params_zero_queue_gives_zero_state():
     store, params = make_cell(rng, h=6)
     for name in store.names():
         store.value(name)[...] = 0.0
-    qu = init_queues(1, 3, 6)[0]
-    h_t, c_t, _ = cell_forward(np.array([0.7, -1.2]), qu, params)
+    h_t, c_t, _ = cell_forward(np.array([[0.7, -1.2]]), np.zeros((1, 3, 6)),
+                               np.zeros((1, 3, 6)), params)
     assert not h_t.any() and not c_t.any()
 
 
@@ -92,31 +163,34 @@ def test_zero_cell_children_leave_only_input_path():
     randomize(store, rng)
     m_t = rng.normal(2)
     hid = rng.normal((3, 5))
-    qu = FeatureQueue(hid, np.zeros((3, 5)))
-    h_t, c_t, _ = cell_forward(m_t, qu, params)
+    h_t, c_t, _ = step(m_t, hid, np.zeros((3, 5)), params)
     h_tilde = hid.mean(axis=0)
     g = sigmoid(params.W["g"] @ m_t + params.U["g"] @ h_tilde + params.b["g"])
     u = np.tanh(params.W["u"] @ m_t + params.U["u"] @ h_tilde + params.b["u"])
-    assert np.array_equal(c_t, g * u)
+    assert np.array_equal(c_t[0], g * u)
 
 
 def test_width_mismatch_rejected():
     rng = Rng(2)
     store, params = make_cell(rng, h=4)
-    qu = init_queues(1, 2, 5)[0]
-    with pytest.raises(ValueError):
-        cell_forward(np.zeros(2), qu, params)
-    qu = init_queues(1, 2, 4)[0]
-    with pytest.raises(ValueError):
-        cell_forward(np.zeros(3), qu, params)
+    with pytest.raises(ValueError):  # queue width
+        cell_forward(np.zeros((1, 2)), np.zeros((1, 2, 5)), np.zeros((1, 2, 5)), params)
+    with pytest.raises(ValueError):  # input width
+        cell_forward(np.zeros((1, 3)), np.zeros((1, 2, 4)), np.zeros((1, 2, 4)), params)
+    with pytest.raises(ValueError):  # agent count
+        cell_forward(np.zeros((2, 2)), np.zeros((1, 2, 4)), np.zeros((1, 2, 4)), params)
+    with pytest.raises(ValueError):  # hidden and cell queues differ
+        cell_forward(np.zeros((1, 2)), np.zeros((1, 2, 4)), np.zeros((1, 3, 4)), params)
+    with pytest.raises(ValueError):  # empty queue
+        cell_forward(np.zeros((1, 2)), np.zeros((1, 0, 4)), np.zeros((1, 0, 4)), params)
 
 
 def test_gate_ranges():
     rng = Rng(3)
     store, params = make_cell(rng, h=8)
     randomize(store, rng, scale=2.0)
-    qu = FeatureQueue(rng.normal((4, 8)), rng.normal((4, 8)))
-    _, _, cache = cell_forward(rng.normal(2), qu, params)
+    hid, cel = rng.normal((4, 8)), rng.normal((4, 8))
+    _, _, cache = step(rng.normal(2), hid, cel, params)
     for arr in (cache.g, cache.o, cache.f):
         assert np.all(arr > 0) and np.all(arr < 1)
     assert np.all(np.abs(cache.u) < 1)
@@ -131,12 +205,11 @@ def test_cell_state_linear_in_cell_children():
     m_t = rng.normal(2)
     hid = rng.normal((3, 6))
     cel = rng.normal((3, 6))
-    qu = FeatureQueue(hid, cel)
-    _, c_base, cache = cell_forward(m_t, qu, params)
+    _, c_base, cache = step(m_t, hid, cel, params)
     doubled = cel.copy()
     doubled[1] *= 2.0
-    _, c2, _ = cell_forward(m_t, FeatureQueue(hid, doubled), params)
-    assert np.allclose(c2 - c_base, cache.f[1] * cel[1], atol=1e-12)
+    _, c2, _ = step(m_t, hid, doubled, params)
+    assert np.allclose(c2[0] - c_base[0], cache.f[0, 1] * cel[1], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +225,10 @@ def test_q1_forward_matches_vanilla_lstm_bitwise():
         m_t = rng.normal(2)
         h_prev = rng.normal(8)
         c_prev = rng.normal(8)
-        qu = FeatureQueue(h_prev[None], c_prev[None])
-        h_t, c_t, _ = cell_forward(m_t, qu, params)
+        h_t, c_t, _ = step(m_t, h_prev[None], c_prev[None], params)
         h_ref, c_ref, _ = lstm_oracle_forward(m_t, h_prev, c_prev, oracle_p)
-        assert np.array_equal(h_t, h_ref)
-        assert np.array_equal(c_t, c_ref)
+        assert np.array_equal(h_t[0], h_ref)
+        assert np.array_equal(c_t[0], c_ref)
 
 
 def test_q1_backward_matches_vanilla_lstm():
@@ -170,15 +242,14 @@ def test_q1_backward_matches_vanilla_lstm():
         c_prev = rng.normal(8)
         d_h = rng.normal(8)
         d_c = rng.normal(8)
-        qu = FeatureQueue(h_prev[None], c_prev[None])
-        h_t, c_t, cache = cell_forward(m_t, qu, params)
+        h_t, c_t, cache = step(m_t, h_prev[None], c_prev[None], params)
         store.zero_grads()
-        d_m, d_hid, d_cel = cell_backward(cache, d_h, d_c, params)
+        d_m, d_hid, d_cel = cell_backward(cache, d_h[None], d_c[None], params)
         _, _, oc = lstm_oracle_forward(m_t, h_prev, c_prev, oracle_p)
         d_x_ref, d_h_ref, d_c_ref, grads_ref = lstm_oracle_backward(oc, d_h, d_c, oracle_p)
-        assert np.allclose(d_m, d_x_ref, atol=1e-10)
-        assert np.allclose(d_hid[0], d_h_ref, atol=1e-10)
-        assert np.allclose(d_cel[0], d_c_ref, atol=1e-10)
+        assert np.allclose(d_m[0], d_x_ref, atol=1e-10)
+        assert np.allclose(d_hid[0, 0], d_h_ref, atol=1e-10)
+        assert np.allclose(d_cel[0, 0], d_c_ref, atol=1e-10)
         gate_map = {"g": "i", "f": "f", "o": "o", "u": "u"}
         for gate, og in gate_map.items():
             assert np.allclose(params.dW[gate], grads_ref["W" + og], atol=1e-10)
@@ -194,10 +265,10 @@ def test_zero_upstream_gives_zero_param_grads():
     rng = Rng(7)
     store, params = make_cell(rng, h=6)
     randomize(store, rng)
-    qu = FeatureQueue(rng.normal((3, 6)), rng.normal((3, 6)))
-    _, _, cache = cell_forward(rng.normal(2), qu, params)
+    hid, cel = rng.normal((3, 6)), rng.normal((3, 6))
+    _, _, cache = step(rng.normal(2), hid, cel, params)
     store.zero_grads()
-    cell_backward(cache, np.zeros(6), np.zeros(6), params)
+    cell_backward(cache, np.zeros((1, 6)), np.zeros((1, 6)), params)
     for name in store.names():
         assert not store.grad(name).any()
 
@@ -205,11 +276,10 @@ def test_zero_upstream_gives_zero_param_grads():
 def test_stale_cache_rejected():
     rng = Rng(8)
     store, params = make_cell(rng, h=4)
-    qu = init_queues(1, 2, 4)[0]
-    _, _, cache = cell_forward(np.zeros(2), qu, params)
-    cell_backward(cache, np.zeros(4), np.zeros(4), params)
+    _, _, cache = step(np.zeros(2), np.zeros((2, 4)), np.zeros((2, 4)), params)
+    cell_backward(cache, np.zeros((1, 4)), np.zeros((1, 4)), params)
     with pytest.raises(ValueError):
-        cell_backward(cache, np.zeros(4), np.zeros(4), params)
+        cell_backward(cache, np.zeros((1, 4)), np.zeros((1, 4)), params)
 
 
 # seeds keep every gradient entry well above the central-difference roundoff
@@ -221,16 +291,16 @@ def test_grad_check_squared_hidden_norm(q, seed):
     store, params = make_cell(rng, h=8)
     randomize(store, rng)
     m_t = rng.normal(2)
-    qu = FeatureQueue(rng.normal((q, 8)), rng.normal((q, 8)))
+    hid, cel = rng.normal((q, 8)), rng.normal((q, 8))
 
     def f(s):
-        h_t, _, cache = cell_forward(m_t, qu, params)
-        cell_backward(cache, 2.0 * h_t, np.zeros(8), params)
-        return float(h_t @ h_t)
+        h_t, _, cache = step(m_t, hid, cel, params)
+        cell_backward(cache, 2.0 * h_t, np.zeros((1, 8)), params)
+        return float((h_t ** 2).sum())
 
     def f_value(s):
-        h_t, _, _ = cell_forward(m_t, qu, params)
-        return float(h_t @ h_t)
+        h_t, _, _ = step(m_t, hid, cel, params)
+        return float((h_t ** 2).sum())
 
     assert grad_check(f, store, eps=1e-5, f_value=f_value) < 1e-4
 
@@ -244,11 +314,12 @@ def test_queue_entry_gradients_match_finite_differences():
     cel = rng.normal((3, 6))
 
     def loss(hid_in, cel_in):
-        h_t, c_t, _ = cell_forward(m_t, FeatureQueue(hid_in, cel_in), params)
-        return float(h_t @ h_t + c_t @ c_t)
+        h_t, c_t, _ = step(m_t, hid_in, cel_in, params)
+        return float((h_t ** 2).sum() + (c_t ** 2).sum())
 
-    h_t, c_t, cache = cell_forward(m_t, FeatureQueue(hid, cel), params)
+    h_t, c_t, cache = step(m_t, hid, cel, params)
     _, d_hid, d_cel = cell_backward(cache, 2.0 * h_t, 2.0 * c_t, params)
+    d_hid, d_cel = d_hid[0], d_cel[0]
     eps = 1e-6
     for arr, grad in ((hid, d_hid), (cel, d_cel)):
         flat = arr.reshape(-1)
@@ -262,3 +333,40 @@ def test_queue_entry_gradients_match_finite_differences():
             flat[idx] = keep
             num = (fp - fm) / (2 * eps)
             assert abs(num - gflat[idx]) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the batched cell against the per-agent oracle
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_batched_cell_matches_per_agent_oracle_bitwise(n, q):
+    rng = Rng(100 + 10 * n + q)
+    store, params = make_cell(rng, h=32)
+    randomize(store, rng, scale=0.3)
+    m_t = rng.normal((n, 2))
+    hidden = rng.normal((n, q, 32))
+    cell = rng.normal((n, q, 32))
+    d_h = rng.normal((n, 32))
+    d_c = rng.normal((n, 32))
+    # non-zero starting slots, so the order of the adds shows
+    start = {name: rng.normal(store.grad(name).shape) for name in store.names()}
+
+    h_t, c_t, cache = cell_forward(m_t, hidden, cell, params)
+    h_ref, c_ref, caches = oracle_cell_forward(m_t, hidden, cell, params)
+    assert np.array_equal(h_t, h_ref) and np.array_equal(c_t, c_ref)
+    for key in ("m", "hidden", "cell", "h_tilde", "g", "o", "u", "f", "tanh_c"):
+        assert np.array_equal(getattr(cache, key), np.stack([c[key] for c in caches])), key
+
+    outs = []
+    for backward, c in ((cell_backward, cache), (oracle_cell_backward, caches)):
+        for name in store.names():
+            store.grad(name)[...] = start[name]
+        returned = backward(c, d_h, d_c, params)
+        outs.append((returned, {name: store.grad(name).copy() for name in store.names()}))
+    (got, got_grads), (want, want_grads) = outs
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    for name in want_grads:
+        assert np.array_equal(got_grads[name], want_grads[name]), name

@@ -7,7 +7,6 @@ from motionq.data import (
     WindowConfig,
     blank_map,
     extract_windows,
-    leave_one_out,
     load_manifest,
     load_trajectories,
     save_trajectories,
@@ -245,13 +244,3 @@ def test_manifest_bad_line(tmp_path):
     (tmp_path / "manifest.txt").write_text("only_two fields\n")
     with pytest.raises(ValueError):
         load_manifest(tmp_path / "manifest.txt", WindowConfig())
-
-
-def test_leave_one_out_partition():
-    names = ["a", "b", "c", "d", "e"]
-    for held in names:
-        train, test = leave_one_out(names, held)
-        assert sorted(train + test) == sorted(names)
-        assert set(train) & set(test) == set()
-    with pytest.raises(ValueError):
-        leave_one_out(names, "zz")

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from motionq import gradchecks
-from motionq.data import SceneBatch, synth_scene
+from motionq import gradchecks, model as model_module
+from motionq.data import SceneBatch, synth_scene, to_relative
 from motionq.model import ModelConfig, MotionModel, write_prediction_records
 from motionq.numkit import Rng, sigmoid
 from motionq.objectives import LossConfig
 
-from test_cell import lstm_oracle_forward, oracle_params_from_cell
+from test_cell import (
+    lstm_oracle_forward,
+    oracle_cell_backward,
+    oracle_cell_forward,
+    oracle_params_from_cell,
+)
 
 
 def micro_cfg(**overrides):
@@ -70,15 +75,14 @@ def test_observe_queue_holds_last_q_frames():
     randomize(model, rng)
     disp = Rng(4).normal((3, 8, 2))
     state = model.observe(disp)
-    for i in range(3):
-        assert np.array_equal(state.queues[i].hidden, state.features[i, -3:])
+    assert state.hidden.shape == (3, 3, cfg.h)
+    assert np.array_equal(state.hidden, state.features[:, -3:])
     # with refinement on, the newest entry still matches the newest feature
     cfg2 = micro_cfg(use_latent=False)
     model2 = MotionModel(cfg2, Rng(5))
     randomize(model2, Rng(6))
     state2 = model2.observe(disp)
-    for i in range(3):
-        assert np.array_equal(state2.queues[i].hidden[-1], state2.features[i, -1])
+    assert np.array_equal(state2.hidden[:, -1], state2.features[:, -1])
 
 
 def test_observe_rejects_bad_inputs():
@@ -102,6 +106,36 @@ def test_observe_agent_permutation_equivariance():
     a = model.observe(disp)
     b = model.observe(disp[perm])
     assert np.allclose(b.h_obs, a.h_obs[perm], atol=1e-10)
+
+
+@pytest.mark.parametrize("social", [True, False])
+@pytest.mark.parametrize("n,q", [(1, 1), (2, 3), (5, 4), (16, 2)])
+def test_model_matches_per_agent_cell_oracle_bitwise(monkeypatch, n, q, social):
+    # observe's states, the loss parts and every gradient slot, against the
+    # same model with the per-agent oracle cell patched in
+    scene = make_scene("crossroad" if n > 4 else "turning", n=n, seed=n, noise=0.05)
+    obs_disp = to_relative(scene.positions)[:, :scene.obs_len]
+    lc = LossConfig(lam=0.1, m=2, pairs_per_batch=8)
+
+    def run():
+        rng = Rng(32)
+        model = MotionModel(micro_cfg(q=q, use_social=social), rng)
+        randomize(model, rng, scale=0.4)
+        state = model.observe(obs_disp, want_cells=True)
+        model.store.zero_grads()
+        parts = model.loss_and_grad(scene, lc, Rng(5))
+        grads = {k: model.store.grad(k).copy() for k in model.store.names()}
+        return state, parts, grads
+
+    state, parts, grads = run()
+    monkeypatch.setattr(model_module, "cell_forward", oracle_cell_forward)
+    monkeypatch.setattr(model_module, "cell_backward", oracle_cell_backward)
+    ref_state, ref_parts, ref_grads = run()
+    for key in ("hidden", "cell", "h_obs", "features", "cells"):
+        assert np.array_equal(getattr(state, key), getattr(ref_state, key)), key
+    assert parts == ref_parts
+    for name in ref_grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 # ---------------------------------------------------------------------------

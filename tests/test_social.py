@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from motionq import model as model_module
+from motionq.model import ModelConfig, MotionModel
 from motionq.numkit import ParamStore, Rng
-from motionq.queues import FeatureQueue
 from motionq.social import (
     SocialParams,
     all_agents_neighbors,
-    radius_neighbors,
     refine_backward,
     refine_forward,
-    refine_hidden_queues,
     relation,
 )
 
@@ -44,7 +43,13 @@ def make_social(rng, h):
 
 
 def random_queues(rng, n, q, h):
-    return [FeatureQueue(rng.normal((q, h)), rng.normal((q, h))) for _ in range(n)]
+    """(hidden, cell), each (n, q, h), drawn agent by agent."""
+    draws = rng.normal((n, 2, q, h))
+    return draws[:, 0], draws[:, 1]
+
+
+def refine(hidden, neighbors, params, **kwargs):
+    return refine_forward(hidden, neighbors, params, **kwargs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -92,20 +97,18 @@ def test_single_agent_self_relation_cancels_normalizer():
     rng = Rng(4)
     store, params = make_social(rng, 5)
     hid = rng.normal((2, 5))
-    queues = [FeatureQueue(hid, rng.normal((2, 5)))]
-    out = refine_hidden_queues(queues, [[0]], params)
+    out = refine(hid[None], [[0]], params)
     expected = hid + hid @ params.W_g.T
-    assert np.allclose(out[0].hidden, expected, atol=1e-12)
+    assert np.allclose(out[0], expected, atol=1e-12)
 
 
 def test_zero_transform_is_identity():
     rng = Rng(5)
     store, params = make_social(rng, 4)
     params.W_g[...] = 0.0
-    queues = random_queues(rng, 3, 2, 4)
-    out = refine_hidden_queues(queues, all_agents_neighbors(3), params)
-    for qu_in, qu_out in zip(queues, out):
-        assert np.allclose(qu_out.hidden, qu_in.hidden, atol=1e-15)
+    hidden, _ = random_queues(rng, 3, 2, 4)
+    out = refine(hidden, all_agents_neighbors(3), params)
+    assert np.allclose(out, hidden, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -113,50 +116,60 @@ def test_matches_brute_force_oracle(n):
     rng = Rng(6 + n)
     store, params = make_social(rng, 2 if n == 2 else 5)
     q = 1 if n == 2 else 3
-    queues = random_queues(rng, n, q, params.h)
+    hidden, _ = random_queues(rng, n, q, params.h)
     neighbors = all_agents_neighbors(n)
-    out = refine_hidden_queues(queues, neighbors, params)
-    expected = refine_oracle(
-        np.stack([qu.hidden for qu in queues]), neighbors,
-        params.W_theta, params.W_phi, params.W_g,
-    )
-    for i in range(n):
-        assert np.allclose(out[i].hidden, expected[i], atol=1e-12)
+    out = refine(hidden, neighbors, params)
+    expected = refine_oracle(hidden, neighbors, params.W_theta, params.W_phi, params.W_g)
+    assert np.allclose(out, expected, atol=1e-12)
 
 
-def test_cell_queues_bitwise_unchanged():
+def test_cell_queues_bitwise_unchanged(monkeypatch):
+    # refinement leaves its input as it is, and the encoder's cell queues
+    # hold exactly the cell steps' c_t: refinement never reaches them
     rng = Rng(10)
     store, params = make_social(rng, 6)
-    queues = random_queues(rng, 3, 2, 6)
-    before = [qu.cell.copy() for qu in queues]
-    out = refine_hidden_queues(queues, all_agents_neighbors(3), params)
-    for qu_out, cell in zip(out, before):
-        assert np.array_equal(qu_out.cell, cell)
+    hidden, _ = random_queues(rng, 3, 2, 6)
+    before = hidden.copy()
+    refine(hidden, all_agents_neighbors(3), params)
+    assert np.array_equal(hidden, before)
+
+    stepped = []
+    cell_forward = model_module.cell_forward
+
+    def recording_cell_forward(*args):
+        out = cell_forward(*args)
+        stepped.append(out[1].copy())  # c_t
+        return out
+
+    monkeypatch.setattr(model_module, "cell_forward", recording_cell_forward)
+    model = MotionModel(ModelConfig(h=6, q=2, dec_h=4, use_latent=False), Rng(11))
+    state = model.observe(rng.normal((3, 5, 2)), want_cells=True)
+    assert np.array_equal(state.cells, np.stack(stepped, axis=1))
+    assert np.array_equal(state.cell, np.stack(stepped[-2:], axis=1))
 
 
 def test_offset_isolation():
     # refined entries at offset s read only offset-s inputs
     rng = Rng(11)
     store, params = make_social(rng, 4)
-    queues = random_queues(rng, 2, 3, 4)
-    out_a = refine_hidden_queues(queues, all_agents_neighbors(2), params)
-    bumped = [FeatureQueue(qu.hidden.copy(), qu.cell) for qu in queues]
-    bumped[1].hidden[0] += 0.37  # oldest slot of agent 1
-    out_b = refine_hidden_queues(bumped, all_agents_neighbors(2), params)
+    hidden, _ = random_queues(rng, 2, 3, 4)
+    out_a = refine(hidden, all_agents_neighbors(2), params)
+    bumped = hidden.copy()
+    bumped[1, 0] += 0.37  # oldest slot of agent 1
+    out_b = refine(bumped, all_agents_neighbors(2), params)
     for i in range(2):
-        assert np.array_equal(out_a[i].hidden[1], out_b[i].hidden[1])
-        assert np.array_equal(out_a[i].hidden[2], out_b[i].hidden[2])
-        assert not np.array_equal(out_a[i].hidden[0], out_b[i].hidden[0])
+        assert np.array_equal(out_a[i, 1], out_b[i, 1])
+        assert np.array_equal(out_a[i, 2], out_b[i, 2])
+        assert not np.array_equal(out_a[i, 0], out_b[i, 0])
 
 
 def test_neighbor_order_invariance():
     rng = Rng(12)
     store, params = make_social(rng, 4)
-    queues = random_queues(rng, 3, 2, 4)
-    fwd = refine_hidden_queues(queues, [[0, 1, 2], [0, 1, 2], [0, 1, 2]], params)
-    rev = refine_hidden_queues(queues, [[2, 1, 0], [1, 2, 0], [2, 0, 1]], params)
-    for a, b in zip(fwd, rev):
-        assert np.allclose(a.hidden, b.hidden, atol=1e-12)
+    hidden, _ = random_queues(rng, 3, 2, 4)
+    fwd = refine(hidden, [[0, 1, 2], [0, 1, 2], [0, 1, 2]], params)
+    rev = refine(hidden, [[2, 1, 0], [1, 2, 0], [2, 0, 1]], params)
+    assert np.allclose(fwd, rev, atol=1e-12)
 
 
 def test_near_zero_normalizer_skips_refinement():
@@ -165,18 +178,16 @@ def test_near_zero_normalizer_skips_refinement():
     params.W_theta[...] = np.eye(2)
     params.W_phi[...] = np.eye(2)
     # opposite features: Z_i = 1 - 1 = 0 exactly, both slots kept as-is
-    q0 = FeatureQueue(np.array([[1.0, 0.0]]), np.zeros((1, 2)))
-    q1 = FeatureQueue(np.array([[-1.0, 0.0]]), np.zeros((1, 2)))
-    out = refine_hidden_queues([q0, q1], [[0, 1], [0, 1]], params)
-    assert np.array_equal(out[0].hidden, q0.hidden)
-    assert np.array_equal(out[1].hidden, q1.hidden)
+    hidden = np.array([[[1.0, 0.0]], [[-1.0, 0.0]]])
+    out = refine(hidden, [[0, 1], [0, 1]], params)
+    assert np.array_equal(out, hidden)
 
 
 def test_softmax_mode_weights_sum_to_one():
     rng = Rng(14)
     store, params = make_social(rng, 4)
-    queues = random_queues(rng, 3, 2, 4)
-    out, cache = refine_forward(queues, all_agents_neighbors(3), params, mode="softmax")
+    hidden, _ = random_queues(rng, 3, 2, 4)
+    out, cache = refine_forward(hidden, all_agents_neighbors(3), params, mode="softmax")
     for slot in cache.per_agent:
         for w, _ in slot:
             assert w is not None
@@ -187,28 +198,18 @@ def test_softmax_mode_weights_sum_to_one():
 def test_inconsistent_queue_shapes_rejected():
     rng = Rng(15)
     store, params = make_social(rng, 4)
-    queues = [
-        FeatureQueue(rng.normal((2, 4)), rng.normal((2, 4))),
-        FeatureQueue(rng.normal((3, 4)), rng.normal((3, 4))),
-    ]
-    with pytest.raises(ValueError):
-        refine_hidden_queues(queues, all_agents_neighbors(2), params)
+    with pytest.raises(ValueError):  # not (n, q, h)
+        refine(rng.normal((2, 4)), all_agents_neighbors(2), params)
+    with pytest.raises(ValueError):  # width other than the params' h
+        refine(rng.normal((2, 3, 5)), all_agents_neighbors(2), params)
 
 
 def test_self_missing_from_neighbor_set_rejected():
     rng = Rng(16)
     store, params = make_social(rng, 4)
-    queues = random_queues(rng, 2, 1, 4)
+    hidden, _ = random_queues(rng, 2, 1, 4)
     with pytest.raises(ValueError):
-        refine_hidden_queues(queues, [[1], [1]], params)
-
-
-def test_radius_neighbors():
-    pos = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]])
-    sets = radius_neighbors(pos, 2.0)
-    assert sets[0] == [0, 1]
-    assert sets[1] == [0, 1]
-    assert sets[2] == [2]
+        refine(hidden, [[1], [1]], params)
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +221,13 @@ def test_backward_matches_finite_differences():
     store, params = make_social(rng, 4)
     n, q = 3, 2
     hid = rng.normal((n, q, 4))
-    cel = rng.normal((n, q, 4))
     neighbors = all_agents_neighbors(n)
 
     def loss_from(hiddens):
-        queues = [FeatureQueue(hiddens[i], cel[i]) for i in range(n)]
-        out = refine_hidden_queues(queues, neighbors, params)
-        return float(sum((qu.hidden ** 2).sum() for qu in out))
+        out = refine(hiddens, neighbors, params)
+        return float(sum((out[i] ** 2).sum() for i in range(n)))
 
-    queues = [FeatureQueue(hid[i], cel[i]) for i in range(n)]
-    out, cache = refine_forward(queues, neighbors, params)
-    refined = np.stack([qu.hidden for qu in out])
+    refined, cache = refine_forward(hid, neighbors, params)
     store.zero_grads()
     d_in = refine_backward(cache, 2.0 * refined, params)
 
@@ -264,9 +261,8 @@ def test_backward_matches_finite_differences():
 def test_stale_cache_rejected():
     rng = Rng(18)
     store, params = make_social(rng, 3)
-    queues = random_queues(rng, 2, 1, 3)
-    out, cache = refine_forward(queues, all_agents_neighbors(2), params)
-    refined = np.stack([qu.hidden for qu in out])
+    hidden, _ = random_queues(rng, 2, 1, 3)
+    refined, cache = refine_forward(hidden, all_agents_neighbors(2), params)
     refine_backward(cache, refined, params)
     with pytest.raises(ValueError):
         refine_backward(cache, refined, params)

@@ -8,7 +8,6 @@ from motionq.trainer import (
     TrainConfig,
     adam_step,
     build_model,
-    default_queue_length,
     evaluate,
     load_checkpoint,
     save_checkpoint,
@@ -115,15 +114,6 @@ def test_config_rejects_values_outside_their_sets(key, bad):
         TrainConfig.from_text(f"{key} = {bad}\n")
     with pytest.raises(ValueError, match=key):
         TrainConfig(**{key: bad})
-
-
-def test_default_queue_lengths():
-    assert default_queue_length("eth") == 4
-    assert default_queue_length("ETH-univ") == 4
-    assert default_queue_length("zara1") == 2
-    assert default_queue_length("zara2") == 2
-    assert default_queue_length("hotel") == 3
-    assert default_queue_length("univ") == 3
 
 
 # ---------------------------------------------------------------------------
