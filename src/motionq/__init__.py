@@ -2,11 +2,11 @@
 
 Each agent carries fixed-length queues of its recent hidden and cell
 features, held for all agents as (n, q, h) arrays. A gated recurrent cell
-consumes the whole queue every frame,
-a social module refines queued features across agents through learned
-pairwise relations, and a scene-conditioned latent variable drives
-multimodal decoding. Everything, including the backward passes, is written
-against numpy directly.
+consumes the whole queue every frame, a social module refines queued
+features across agents through learned pairwise relations, and a
+scene-conditioned latent variable drives multimodal decoding through the same
+cell at q = 1, the vanilla LSTM. Everything, including the backward passes,
+is written against numpy directly.
 """
 
 from .numkit import Rng, ParamStore, grad_check, cosine_sim, sample_gaussian

@@ -16,7 +16,7 @@ from .model import DecoderParams, ModelConfig, MotionModel
 from .numkit import ParamStore, Rng, grad_check
 from .objectives import LossConfig
 from .scene import SceneEncoderConfig, SceneEncoderParams, encode_scene, encode_scene_backward
-from .social import SocialParams, all_agents_neighbors, refine_forward, refine_backward
+from .social import SocialParams, refine_forward, refine_backward
 
 BOUND = 1e-4
 EPS = 1e-5
@@ -58,15 +58,14 @@ def check_social(n=3, q=2, h=6, seed=0, mode="signed"):
     store = ParamStore()
     params = SocialParams(store, rng, h)
     hidden = rng.normal((n, 2, q, h))[:, 0]  # [:, 1] is unused; it keeps this seed's point
-    neighbors = all_agents_neighbors(n)
 
     def f(s):
-        refined, cache = refine_forward(hidden, neighbors, params, mode=mode)
+        refined, cache = refine_forward(hidden, params, mode=mode)
         refine_backward(cache, 2.0 * refined, params)
         return float((refined ** 2).sum())
 
     def f_value(s):
-        refined, _ = refine_forward(hidden, neighbors, params, mode=mode)
+        refined, _ = refine_forward(hidden, params, mode=mode)
         return float((refined ** 2).sum())
 
     return grad_check(f, store, eps=EPS, f_value=f_value)
@@ -104,7 +103,8 @@ def check_scene(seed=0):
 
 def check_decoder(seed=0):
     """Loss = squared norm of one winning rollout per agent, out of 3 latent
-    samples per agent decoded together.
+    samples per agent decoded together, backpropagated through all rows in
+    one call with zero upstream gradient off the winners.
 
     Agents 0 and 2 win with sample 2 and agent 1 with sample 0, so sample 1
     gets no gradient and sample 2's latent gradient sums over two agents.
@@ -126,10 +126,12 @@ def check_decoder(seed=0):
 
     def f(s):
         pos, cache = model.decode(h_obs, z, 3, last_pos, last_disp, want_cache=True)
+        d_pos = np.zeros_like(pos)
         for i, k in winners:
-            d_h, d_z = model._decode_backward_agent(cache, k * n + i, 2.0 * pos[k, i])
-            store.grad("input.h_obs")[i] += d_h
-            store.grad("input.z")[k] += d_z
+            d_pos[k, i] = 2.0 * pos[k, i]
+        d_h, d_z = model._decode_backward_agent(cache, d_pos)
+        store.grad("input.h_obs")[...] += d_h
+        store.grad("input.z")[...] += d_z
         return sum(float((pos[k, i] ** 2).sum()) for i, k in winners)
 
     def f_value(s):

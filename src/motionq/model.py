@@ -4,13 +4,13 @@ Observation runs frame by frame on two (n, q, h) queue arrays, hidden and
 cell: one queue-gated cell step for all agents, then a queue push/pop, then
 (optionally) the social refinement of the hidden queues across agents. The
 final hidden features are fused with a scene-conditioned latent draw and
-rolled out by a vanilla LSTM decoder that emits per-frame displacements,
-feeding each displacement back as the next input. All m x n (sample, agent)
-rows roll out together, one matrix-vector product per row, so each row is
-bitwise the rollout it would be alone; training backpropagates only each
-agent's best-of-m row. Absolute positions are cumulative sums from
-the last observed position, which makes every prediction translate exactly
-with the inputs.
+rolled out by the same cell at q = 1, the vanilla LSTM, which emits per-frame
+displacements and feeds each one back as the next input. All m x n (sample,
+agent) rows roll out together, one matrix-vector product per row, so each row
+is bitwise the rollout it would be alone; training backpropagates all rows in
+one pass, with zero upstream gradient off each agent's best-of-m row.
+Absolute positions are cumulative sums from the last observed position, which
+makes every prediction translate exactly with the inputs.
 
 Prediction export format (text): a comment header then one record per line,
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .cell import CellParams, cell_forward, cell_backward
 from .data import to_relative
-from .numkit import ParamStore, rowwise, sigmoid
+from .numkit import ParamStore, rowwise
 from .objectives import (
     coherence_forward,
     coherence_backward,
@@ -40,7 +40,7 @@ from .scene import (
     encode_scene_backward,
     sample_latent,
 )
-from .social import SocialParams, all_agents_neighbors, refine_forward, refine_backward
+from .social import SocialParams, refine_forward, refine_backward
 
 __all__ = [
     "ModelConfig",
@@ -50,8 +50,6 @@ __all__ = [
     "MotionModel",
     "write_prediction_records",
 ]
-
-DEC_GATES = ("i", "f", "o", "u")
 
 
 @dataclass
@@ -89,27 +87,13 @@ class ModelConfig:
 
 
 class DecoderParams:
-    """Vanilla LSTM decoder cell plus the fusion and output projections."""
+    """The decoder's cell (the queue cell at q = 1, registered as
+    `<prefix>.W_g` ... `<prefix>.b_u`) plus the fusion and output projections."""
 
     def __init__(self, store, rng, h_enc, z_dim, dec_h=32, prefix="decoder"):
         self.h_enc = h_enc
-        self.z_dim = z_dim
-        self.dec_h = dec_h
+        self.cell = CellParams(store, rng, d=2, h=dec_h, prefix=prefix)
         bound = 1.0 / np.sqrt(dec_h)
-        self.W = {}
-        self.U = {}
-        self.b = {}
-        self.dW = {}
-        self.dU = {}
-        self.db = {}
-        for gate in DEC_GATES:
-            b = np.ones(dec_h) if gate == "f" else np.zeros(dec_h)
-            self.W[gate] = store.add(f"{prefix}.W_{gate}", rng.uniform(-bound, bound, (dec_h, 2)))
-            self.U[gate] = store.add(f"{prefix}.U_{gate}", rng.uniform(-bound, bound, (dec_h, dec_h)))
-            self.b[gate] = store.add(f"{prefix}.b_{gate}", b)
-            self.dW[gate] = store.grad(f"{prefix}.W_{gate}")
-            self.dU[gate] = store.grad(f"{prefix}.U_{gate}")
-            self.db[gate] = store.grad(f"{prefix}.b_{gate}")
         fuse_in = h_enc + z_dim
         bound_f = 1.0 / np.sqrt(fuse_in)
         self.W_fuse = store.add(f"{prefix}.W_fuse", rng.uniform(-bound_f, bound_f, (dec_h, fuse_in)))
@@ -146,31 +130,6 @@ class PredictionSet:
         return self.positions.shape[0]
 
 
-class _DecCache:
-    """Stacked rollout of every decoder row, sample-major (row k*n + i).
-
-    Step t reads x[t], h[t], c[t] and produces the gates, tanh_c[t], h[t + 1]
-    and c[t + 1]; h[0] is the fused initial state and c[0] is zero. Every
-    per-step array is (steps, rows, .), h and c are (steps + 1, rows, dec_h)
-    and s holds each row's fused input [h_obs_i; z_k].
-    """
-
-    __slots__ = ("s", "x", "h", "c", "gi", "gf", "go", "gu", "tanh_c")
-
-    def __init__(self, s, h0, steps):
-        rows, dec_h = h0.shape
-        self.s = s
-        self.x = np.zeros((steps, rows, 2))
-        self.h = np.zeros((steps + 1, rows, dec_h))
-        self.h[0] = h0
-        self.c = np.zeros((steps + 1, rows, dec_h))
-        self.gi = np.zeros((steps, rows, dec_h))
-        self.gf = np.zeros((steps, rows, dec_h))
-        self.go = np.zeros((steps, rows, dec_h))
-        self.gu = np.zeros((steps, rows, dec_h))
-        self.tanh_c = np.zeros((steps, rows, dec_h))
-
-
 class MotionModel:
     """Full forecaster: queue-gated encoder, social refinement, latent fusion,
     LSTM decoder, and the training objective with hand-derived gradients."""
@@ -204,7 +163,6 @@ class MotionModel:
             raise ValueError("need at least one observation frame")
         if not np.all(np.isfinite(obs_disp)):
             raise ValueError("agent missing or non-finite input inside the window")
-        neighbors = all_agents_neighbors(n)
 
         hidden = np.zeros((n, self.cfg.q, self.cfg.h))
         cell = np.zeros((n, self.cfg.q, self.cfg.h))
@@ -217,7 +175,7 @@ class MotionModel:
             refine_cache = None
             if self.social is not None:
                 hidden, refine_cache = refine_forward(
-                    hidden, neighbors, self.social, mode=self.cfg.relation_mode)
+                    hidden, self.social, mode=self.cfg.relation_mode)
             features[:, t] = hidden[:, -1]
             if want_cells:
                 cells[:, t] = cell[:, -1]
@@ -258,8 +216,10 @@ class MotionModel:
         (m, n, steps, 2). Row k*n + i decodes agent i under draw k: its hidden
         state starts from tanh(W_fuse [h_obs_i; z_k] + b), its cell at zero;
         the first input is the agent's final observed displacement and every
-        emitted displacement is fed back as the next input. The cache, on
-        request, is a _DecCache over all rows.
+        emitted displacement is fed back as the next input. Each step is one
+        cell_forward over all rows at q = 1. The cache, on request, is
+        (s, h0, records): the fused inputs [h_obs_i; z_k] and initial states
+        of all rows, and per step the cell's cache with the step's (h_t, c_t).
         """
         if steps < 1:
             raise ValueError("steps must be >= 1")
@@ -274,74 +234,44 @@ class MotionModel:
         c = np.zeros_like(h)
         x = np.tile(np.asarray(last_disp, dtype=np.float64), (m, 1))
         disps = np.zeros((m * n, steps, 2))
-        cache = _DecCache(s, h, steps) if want_cache else None
+        cache = (s, h, []) if want_cache else None
         for t in range(steps):
-            gi = sigmoid(rowwise(dec.W["i"], x) + rowwise(dec.U["i"], h) + dec.b["i"])
-            gf = sigmoid(rowwise(dec.W["f"], x) + rowwise(dec.U["f"], h) + dec.b["f"])
-            go = sigmoid(rowwise(dec.W["o"], x) + rowwise(dec.U["o"], h) + dec.b["o"])
-            gu = np.tanh(rowwise(dec.W["u"], x) + rowwise(dec.U["u"], h) + dec.b["u"])
-            c_new = gf * c + gi * gu
-            tanh_c = np.tanh(c_new)
-            h_new = go * tanh_c
-            delta = rowwise(dec.W_out, h_new) + dec.b_out
+            h, c, cell_cache = cell_forward(x, h[:, None], c[:, None], dec.cell)
+            x = rowwise(dec.W_out, h) + dec.b_out
+            disps[:, t] = x
             if want_cache:
-                cache.x[t] = x
-                cache.gi[t], cache.gf[t], cache.go[t], cache.gu[t] = gi, gf, go, gu
-                cache.tanh_c[t] = tanh_c
-                cache.h[t + 1] = h_new
-                cache.c[t + 1] = c_new
-            disps[:, t] = delta
-            x = delta
-            h = h_new
-            c = c_new
+                cache[2].append((cell_cache, h, c))
         last = np.tile(np.asarray(last_pos, dtype=np.float64), (m, 1))
         positions = last[:, None] + np.cumsum(disps, axis=1)
         return positions.reshape(m, n, steps, 2), cache
 
-    def _decode_backward_agent(self, cache, row, d_pos):
-        """Gradient of one cached rollout row; returns (d_h_obs_i, d_z_k)."""
+    def _decode_backward_agent(self, cache, d_pos):
+        """Gradient of every cached rollout row at once.
+
+        d_pos is (m, n, steps, 2), zero on rows that get no gradient. Returns
+        (d_h_obs, d_z), (n, h_enc) and (m, z_dim), summed over the rows that
+        read each agent and each draw.
+        """
         dec = self.decoder
-        steps = cache.x.shape[0]
-        d_disp = np.cumsum(d_pos[::-1], axis=0)[::-1]  # position cumsum fan-out
-        d_x_next = np.zeros(2)
-        d_h = np.zeros(dec.dec_h)
-        d_c = np.zeros(dec.dec_h)
+        s, h0, records = cache
+        m, n, steps, _ = d_pos.shape
+        d_disp = np.cumsum(d_pos[:, :, ::-1], axis=2)[:, :, ::-1].reshape(m * n, steps, 2)
+        d_x = np.zeros((m * n, 2))
+        d_h = np.zeros_like(h0)
+        d_c = np.zeros_like(h0)
         for t in range(steps - 1, -1, -1):
-            gi, gf = cache.gi[t, row], cache.gf[t, row]
-            go, gu = cache.go[t, row], cache.gu[t, row]
-            tanh_c = cache.tanh_c[t, row]
-            d_delta = d_disp[t] + d_x_next
-            dec.dW_out += np.outer(d_delta, cache.h[t + 1, row])
-            dec.db_out += d_delta
-            d_h = d_h + dec.W_out.T @ d_delta
-            d_go = d_h * tanh_c
-            da_o = d_go * go * (1.0 - go)
-            d_c = d_c + d_h * go * (1.0 - tanh_c ** 2)
-            d_gi = d_c * gu
-            da_i = d_gi * gi * (1.0 - gi)
-            d_gu = d_c * gi
-            da_u = d_gu * (1.0 - gu ** 2)
-            d_gf = d_c * cache.c[t, row]
-            da_f = d_gf * gf * (1.0 - gf)
-            d_c = d_c * gf
-            d_x_next = (
-                dec.W["i"].T @ da_i + dec.W["f"].T @ da_f
-                + dec.W["o"].T @ da_o + dec.W["u"].T @ da_u
-            )
-            d_h = (
-                dec.U["i"].T @ da_i + dec.U["f"].T @ da_f
-                + dec.U["o"].T @ da_o + dec.U["u"].T @ da_u
-            )
-            for gate, da in (("i", da_i), ("f", da_f), ("o", da_o), ("u", da_u)):
-                dec.dW[gate] += np.outer(da, cache.x[t, row])
-                dec.dU[gate] += np.outer(da, cache.h[t, row])
-                dec.db[gate] += da
-        # d_x_next now targets the seed input (observed data): dropped
-        d_a0 = d_h * (1.0 - cache.h[0, row] ** 2)
-        dec.dW_fuse += np.outer(d_a0, cache.s[row])
-        dec.db_fuse += d_a0
-        d_s = dec.W_fuse.T @ d_a0
-        return d_s[:dec.h_enc], d_s[dec.h_enc:]
+            cell_cache, h_t, _ = records[t]
+            d_delta = d_disp[:, t] + d_x  # position cumsum fan-out plus the fed-back input
+            dec.dW_out += d_delta.T @ h_t
+            dec.db_out += d_delta.sum(axis=0)
+            d_x, d_hq, d_cq = cell_backward(cell_cache, d_h + d_delta @ dec.W_out, d_c, dec.cell)
+            d_h, d_c = d_hq[:, 0], d_cq[:, 0]
+        # d_x now targets the seed input (observed data): dropped
+        d_a0 = d_h * (1.0 - h0 ** 2)
+        dec.dW_fuse += d_a0.T @ s
+        dec.db_fuse += d_a0.sum(axis=0)
+        d_s = (d_a0 @ dec.W_fuse).reshape(m, n, -1)
+        return d_s[:, :, :dec.h_enc].sum(axis=0), d_s[:, :, dec.h_enc:].sum(axis=1)
 
     # ------------------------------------------------------------------ prediction
 
@@ -382,7 +312,6 @@ class MotionModel:
         disp = to_relative(scene.positions)
         obs_disp = disp[:, :scene.obs_len]
         gt = scene.future()
-        n = scene.n_agents
         steps = scene.pred_len
         last_pos = scene.positions[:, scene.obs_len - 1]
         last_disp = obs_disp[:, -1]
@@ -411,14 +340,7 @@ class MotionModel:
             return parts
 
         d_preds = variety_backward(var_cache, 1.0)
-        best = var_cache[3]
-        d_h_obs = np.zeros((n, self.cfg.h))
-        d_zs = np.zeros(zs.shape)
-        for i in range(n):
-            k = best[i]
-            d_hi, d_zk = self._decode_backward_agent(dec_cache, k * n + i, d_preds[k, i])
-            d_h_obs[i] += d_hi
-            d_zs[k] += d_zk
+        d_h_obs, d_zs = self._decode_backward_agent(dec_cache, d_preds)
 
         d_features = np.zeros_like(state.features)
         coherence_backward(coh_cache, loss_cfg.lam, d_features)
@@ -458,10 +380,11 @@ class MotionModel:
             z = np.zeros((1, 0))
         last_pos = scene.positions[:, scene.obs_len - 1]
         last_disp = obs_disp[:, -1]
-        _, cache = self.decode(state.h_obs, z, steps, last_pos, last_disp, want_cache=True)
+        _, (_, _, records) = self.decode(state.h_obs, z, steps, last_pos, last_disp,
+                                         want_cache=True)
         for i in range(scene.n_agents):
             for t in range(steps):
-                rows.append(("pred", i, t, cache.c[t + 1, i].copy()))
+                rows.append(("pred", i, t, records[t][2][i].copy()))
         return rows
 
 

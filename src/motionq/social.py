@@ -1,8 +1,8 @@
 """Social refinement of the hidden feature queues.
 
 Each agent's queued hidden vector at frame offset s is replaced by a residual
-sum over the same-offset entries of its neighbors, weighted by a learned
-pairwise relation score:
+sum over the same-offset entries of every agent in the scene, itself
+included, weighted by a learned pairwise relation score:
 
     rel(x_i, x_j) = (W_theta x_i) . (W_phi x_j)
     x_i <- x_i + (1/Z_i) * sum_j rel(x_i, x_j) * (W_g x_j),   Z_i = sum_j rel(x_i, x_j)
@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "SocialParams",
     "relation",
-    "all_agents_neighbors",
     "refine_forward",
     "refine_backward",
 ]
@@ -52,41 +51,21 @@ def relation(h_i, h_j, params):
     return float((params.W_theta @ h_i) @ (params.W_phi @ h_j))
 
 
-def all_agents_neighbors(n_agents):
-    """Every agent in the scene participates, self included (the default rule)."""
-    return [list(range(n_agents)) for _ in range(n_agents)]
-
-
-def _validate(hidden, neighbors, params):
-    if hidden.ndim != 3 or hidden.shape[2] != params.h:
-        raise ValueError(f"hidden queues must be (n, q, {params.h}), got {hidden.shape}")
-    n, q, h = hidden.shape
-    if len(neighbors) != n:
-        raise ValueError(f"neighbor sets ({len(neighbors)}) do not match agent count ({n})")
-    for i, idx in enumerate(neighbors):
-        if i not in idx:
-            raise ValueError(f"agent {i} missing from its own neighbor set")
-        if any(j < 0 or j >= n for j in idx):
-            raise ValueError(f"neighbor index out of range for agent {i}")
-    return n, q, h
-
-
 class RefineCache:
-    __slots__ = ("params", "X", "T", "P", "G", "per_agent", "neighbors", "mode", "used")
+    __slots__ = ("params", "X", "T", "P", "G", "per_agent", "mode", "used")
 
-    def __init__(self, params, X, T, P, G, per_agent, neighbors, mode):
+    def __init__(self, params, X, T, P, G, per_agent, mode):
         self.params = params
         self.X = X
         self.T = T
         self.P = P
         self.G = G
         self.per_agent = per_agent
-        self.neighbors = neighbors
         self.mode = mode
         self.used = False
 
 
-def refine_forward(hidden, neighbors, params, mode="signed", z_eps=Z_EPS):
+def refine_forward(hidden, params, mode="signed", z_eps=Z_EPS):
     """Refine the (n, q, h) hidden queues; returns (refined copy, cache for backward).
 
     All reads use the pre-refinement input (no sequential aliasing), which is
@@ -94,8 +73,9 @@ def refine_forward(hidden, neighbors, params, mode="signed", z_eps=Z_EPS):
     others.
     """
     X = np.asarray(hidden, dtype=np.float64)
-    n, q, h = _validate(X, neighbors, params)
-    idx_arrays = [np.asarray(ix, dtype=np.intp) for ix in neighbors]
+    if X.ndim != 3 or X.shape[2] != params.h:
+        raise ValueError(f"hidden queues must be (n, q, {params.h}), got {X.shape}")
+    n, q, h = X.shape
 
     refined = X.copy()
     Ts = np.empty((q, n, h))
@@ -110,8 +90,7 @@ def refine_forward(hidden, neighbors, params, mode="signed", z_eps=Z_EPS):
         Ts[s], Ps[s], Gs[s] = T, P, G
         slot_info = []
         for i in range(n):
-            idx = idx_arrays[i]
-            r = P[idx] @ T[i]
+            r = P @ T[i]
             if mode == "signed":
                 z = float(r.sum())
                 if abs(z) < z_eps:
@@ -124,11 +103,11 @@ def refine_forward(hidden, neighbors, params, mode="signed", z_eps=Z_EPS):
                 w = e / z
             else:
                 raise ValueError(f"unknown relation mode: {mode}")
-            refined[i, s] = Xs[i] + w @ G[idx]
+            refined[i, s] = Xs[i] + w @ G
             slot_info.append((w, z))
         per_agent.append(slot_info)
 
-    cache = RefineCache(params, X, Ts, Ps, Gs, per_agent, idx_arrays, mode)
+    cache = RefineCache(params, X, Ts, Ps, Gs, per_agent, mode)
     return refined, cache
 
 
@@ -163,15 +142,14 @@ def refine_backward(cache, d_hidden_out, params):
             if w is None:
                 continue  # refinement was skipped; identity gradient only
             dy = d_hidden_out[i, s]
-            idx = cache.neighbors[i]
-            dw = G[idx] @ dy
-            dG[idx] += np.outer(w, dy)
+            dw = G @ dy
+            dG += np.outer(w, dy)
             if cache.mode == "signed":
                 dr = (dw - np.dot(w, dw)) / z
             else:
                 dr = w * (dw - np.dot(w, dw))
-            dT[i] += dr @ P[idx]
-            dP[idx] += np.outer(dr, T[i])
+            dT[i] += dr @ P
+            dP += np.outer(dr, T[i])
         params.dW_theta += dT.T @ Xs
         params.dW_phi += dP.T @ Xs
         params.dW_g += dG.T @ Xs

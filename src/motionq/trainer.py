@@ -36,6 +36,8 @@ __all__ = [
 
 
 BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+# tensors renamed since v1 files were first written: old name -> name now
+LEGACY_TENSOR_NAMES = {f"decoder.{kind}_i": f"decoder.{kind}_g" for kind in ("W", "U", "b")}
 CHOICES = {
     "precision": ("32", "64"),
     "relation_mode": ("signed", "softmax"),
@@ -75,7 +77,6 @@ class TrainConfig:
     eval_seed: int = 1234
     precision: str = "64"
     checkpoint_every: int = 1
-    dataset: str = ""
 
     def __post_init__(self):
         for name in ("h", "z_dim", "q", "dec_h", "obs_len", "pred_len", "m",
@@ -312,7 +313,12 @@ def save_checkpoint(path, store, state, cfg, epoch):
 
 
 def load_checkpoint(path):
-    """Returns (cfg, model, AdamState, epoch) with parameters loaded in place."""
+    """Returns (cfg, model, AdamState, epoch) with parameters loaded in place.
+
+    The stored hash is checked against the stored config text. Files written
+    before the `dataset` key and the decoder's `_i` tensor names were retired
+    still load: the `dataset` line is dropped and the tensors are renamed.
+    """
     with open(path) as fh:
         if fh.readline().strip() != "checkpoint-v1":
             raise ValueError(f"{path}: not a checkpoint file")
@@ -320,13 +326,15 @@ def load_checkpoint(path):
         epoch = int(fh.readline().split()[1])
         adam_t = int(fh.readline().split()[1])
         n_lines = int(fh.readline().split()[1])
-        cfg_text = "".join(fh.readline() for _ in range(n_lines))
-        cfg = TrainConfig.from_text(cfg_text)
-        if cfg.digest() != digest:
+        cfg_lines = [fh.readline() for _ in range(n_lines)]
+        if hashlib.sha256("".join(cfg_lines).encode()).hexdigest() != digest:
             raise ValueError(f"{path}: config hash mismatch")
-        values = read_tensors(fh)
-        moments_m = read_tensors(fh)
-        moments_v = read_tensors(fh)
+        cfg = TrainConfig.from_text("".join(
+            line for line in cfg_lines if line.partition("=")[0].strip() != "dataset"))
+        blocks = [read_tensors(fh) for _ in range(3)]  # parameters, Adam m, Adam v
+    values, moments_m, moments_v = (
+        {LEGACY_TENSOR_NAMES.get(name, name): arr for name, arr in block.items()}
+        for block in blocks)
     model = build_model(cfg)
     model.store.load_values(values)
     state = AdamState(model.store)

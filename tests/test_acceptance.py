@@ -23,7 +23,7 @@ from motionq.objectives import (
     tcc,
     variety_loss,
 )
-from motionq.social import SocialParams, all_agents_neighbors, refine_forward
+from motionq.social import SocialParams, refine_forward
 from motionq.trainer import TrainConfig, evaluate, load_checkpoint, train
 
 from test_cell import lstm_oracle_backward, lstm_oracle_forward, oracle_params_from_cell
@@ -100,9 +100,8 @@ def test_criterion_3_social_refinement_contract():
         params = SocialParams(store, rng, 6)
         hidden, cell = np.moveaxis(rng.normal((n, 2, 3, 6)), 1, 0)  # drawn agent by agent
         before = hidden.copy()
-        neighbors = all_agents_neighbors(n)
-        out, _ = refine_forward(hidden, neighbors, params)
-        expected = refine_oracle(hidden, neighbors, params.W_theta, params.W_phi, params.W_g)
+        out, _ = refine_forward(hidden, params)
+        expected = refine_oracle(hidden, params.W_theta, params.W_phi, params.W_g)
         diff = np.abs(out - expected).max()
         # cells are untouched: refinement leaves its input as it is, and the
         # encoder's cell history holds exactly each frame's cell-step c_t
@@ -117,7 +116,7 @@ def test_criterion_3_social_refinement_contract():
         ok = ok and diff < 1e-12 and cells_ok
         detail.append(f"n={n} oracle diff {diff:.2e} cells {'bitwise' if cells_ok else 'CHANGED'}")
         params.W_g[...] = 0.0
-        out0, _ = refine_forward(hidden, neighbors, params)
+        out0, _ = refine_forward(hidden, params)
         ident = np.abs(out0 - hidden).max()
         ok = ok and ident < 1e-15
     report(3, "social refinement contract", ok, "; ".join(detail))

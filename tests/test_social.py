@@ -6,7 +6,6 @@ from motionq.model import ModelConfig, MotionModel
 from motionq.numkit import ParamStore, Rng
 from motionq.social import (
     SocialParams,
-    all_agents_neighbors,
     refine_backward,
     refine_forward,
     relation,
@@ -17,19 +16,20 @@ from motionq.social import (
 # oracle: direct double-loop refinement, no shared terms with the implementation
 
 
-def refine_oracle(hiddens, neighbors, w_theta, w_phi, w_g, z_eps=1e-8):
-    """hiddens is (n, q, h); returns the refined copy."""
+def refine_oracle(hiddens, w_theta, w_phi, w_g, z_eps=1e-8):
+    """hiddens is (n, q, h); returns the refined copy. Every agent refines
+    against every agent, itself included."""
     n, q, _ = hiddens.shape
     out = hiddens.copy()
     for i in range(n):
         for s in range(q):
             z = 0.0
-            for j in neighbors[i]:
+            for j in range(n):
                 z += float((w_theta @ hiddens[i, s]) @ (w_phi @ hiddens[j, s]))
             if abs(z) < z_eps:
                 continue
             acc = np.zeros(hiddens.shape[2])
-            for j in neighbors[i]:
+            for j in range(n):
                 r = float((w_theta @ hiddens[i, s]) @ (w_phi @ hiddens[j, s]))
                 acc += r * (w_g @ hiddens[j, s])
             out[i, s] = hiddens[i, s] + acc / z
@@ -48,8 +48,8 @@ def random_queues(rng, n, q, h):
     return draws[:, 0], draws[:, 1]
 
 
-def refine(hidden, neighbors, params, **kwargs):
-    return refine_forward(hidden, neighbors, params, **kwargs)[0]
+def refine(hidden, params, **kwargs):
+    return refine_forward(hidden, params, **kwargs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,7 @@ def test_single_agent_self_relation_cancels_normalizer():
     rng = Rng(4)
     store, params = make_social(rng, 5)
     hid = rng.normal((2, 5))
-    out = refine(hid[None], [[0]], params)
+    out = refine(hid[None], params)
     expected = hid + hid @ params.W_g.T
     assert np.allclose(out[0], expected, atol=1e-12)
 
@@ -107,7 +107,7 @@ def test_zero_transform_is_identity():
     store, params = make_social(rng, 4)
     params.W_g[...] = 0.0
     hidden, _ = random_queues(rng, 3, 2, 4)
-    out = refine(hidden, all_agents_neighbors(3), params)
+    out = refine(hidden, params)
     assert np.allclose(out, hidden, atol=1e-15)
 
 
@@ -117,9 +117,8 @@ def test_matches_brute_force_oracle(n):
     store, params = make_social(rng, 2 if n == 2 else 5)
     q = 1 if n == 2 else 3
     hidden, _ = random_queues(rng, n, q, params.h)
-    neighbors = all_agents_neighbors(n)
-    out = refine(hidden, neighbors, params)
-    expected = refine_oracle(hidden, neighbors, params.W_theta, params.W_phi, params.W_g)
+    out = refine(hidden, params)
+    expected = refine_oracle(hidden, params.W_theta, params.W_phi, params.W_g)
     assert np.allclose(out, expected, atol=1e-12)
 
 
@@ -130,7 +129,7 @@ def test_cell_queues_bitwise_unchanged(monkeypatch):
     store, params = make_social(rng, 6)
     hidden, _ = random_queues(rng, 3, 2, 6)
     before = hidden.copy()
-    refine(hidden, all_agents_neighbors(3), params)
+    refine(hidden, params)
     assert np.array_equal(hidden, before)
 
     stepped = []
@@ -153,23 +152,14 @@ def test_offset_isolation():
     rng = Rng(11)
     store, params = make_social(rng, 4)
     hidden, _ = random_queues(rng, 2, 3, 4)
-    out_a = refine(hidden, all_agents_neighbors(2), params)
+    out_a = refine(hidden, params)
     bumped = hidden.copy()
     bumped[1, 0] += 0.37  # oldest slot of agent 1
-    out_b = refine(bumped, all_agents_neighbors(2), params)
+    out_b = refine(bumped, params)
     for i in range(2):
         assert np.array_equal(out_a[i, 1], out_b[i, 1])
         assert np.array_equal(out_a[i, 2], out_b[i, 2])
         assert not np.array_equal(out_a[i, 0], out_b[i, 0])
-
-
-def test_neighbor_order_invariance():
-    rng = Rng(12)
-    store, params = make_social(rng, 4)
-    hidden, _ = random_queues(rng, 3, 2, 4)
-    fwd = refine(hidden, [[0, 1, 2], [0, 1, 2], [0, 1, 2]], params)
-    rev = refine(hidden, [[2, 1, 0], [1, 2, 0], [2, 0, 1]], params)
-    assert np.allclose(fwd, rev, atol=1e-12)
 
 
 def test_near_zero_normalizer_skips_refinement():
@@ -179,7 +169,7 @@ def test_near_zero_normalizer_skips_refinement():
     params.W_phi[...] = np.eye(2)
     # opposite features: Z_i = 1 - 1 = 0 exactly, both slots kept as-is
     hidden = np.array([[[1.0, 0.0]], [[-1.0, 0.0]]])
-    out = refine(hidden, [[0, 1], [0, 1]], params)
+    out = refine(hidden, params)
     assert np.array_equal(out, hidden)
 
 
@@ -187,7 +177,7 @@ def test_softmax_mode_weights_sum_to_one():
     rng = Rng(14)
     store, params = make_social(rng, 4)
     hidden, _ = random_queues(rng, 3, 2, 4)
-    out, cache = refine_forward(hidden, all_agents_neighbors(3), params, mode="softmax")
+    out, cache = refine_forward(hidden, params, mode="softmax")
     for slot in cache.per_agent:
         for w, _ in slot:
             assert w is not None
@@ -199,17 +189,9 @@ def test_inconsistent_queue_shapes_rejected():
     rng = Rng(15)
     store, params = make_social(rng, 4)
     with pytest.raises(ValueError):  # not (n, q, h)
-        refine(rng.normal((2, 4)), all_agents_neighbors(2), params)
+        refine(rng.normal((2, 4)), params)
     with pytest.raises(ValueError):  # width other than the params' h
-        refine(rng.normal((2, 3, 5)), all_agents_neighbors(2), params)
-
-
-def test_self_missing_from_neighbor_set_rejected():
-    rng = Rng(16)
-    store, params = make_social(rng, 4)
-    hidden, _ = random_queues(rng, 2, 1, 4)
-    with pytest.raises(ValueError):
-        refine(hidden, [[1], [1]], params)
+        refine(rng.normal((2, 3, 5)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +203,12 @@ def test_backward_matches_finite_differences():
     store, params = make_social(rng, 4)
     n, q = 3, 2
     hid = rng.normal((n, q, 4))
-    neighbors = all_agents_neighbors(n)
 
     def loss_from(hiddens):
-        out = refine(hiddens, neighbors, params)
+        out = refine(hiddens, params)
         return float(sum((out[i] ** 2).sum() for i in range(n)))
 
-    refined, cache = refine_forward(hid, neighbors, params)
+    refined, cache = refine_forward(hid, params)
     store.zero_grads()
     d_in = refine_backward(cache, 2.0 * refined, params)
 
@@ -262,7 +243,7 @@ def test_stale_cache_rejected():
     rng = Rng(18)
     store, params = make_social(rng, 3)
     hidden, _ = random_queues(rng, 2, 1, 3)
-    refined, cache = refine_forward(hidden, all_agents_neighbors(2), params)
+    refined, cache = refine_forward(hidden, params)
     refine_backward(cache, refined, params)
     with pytest.raises(ValueError):
         refine_backward(cache, refined, params)

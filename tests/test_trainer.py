@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -77,7 +79,7 @@ def test_adam_nonfinite_gradient_names_parameter():
 
 
 def test_config_text_roundtrip():
-    cfg = micro_train_cfg(lam=0.25, use_social=False, dataset="zara1")
+    cfg = micro_train_cfg(lam=0.25, use_social=False, relation_mode="softmax")
     parsed = TrainConfig.from_text(cfg.to_text())
     assert parsed == cfg
     assert parsed.digest() == cfg.digest()
@@ -215,6 +217,36 @@ def test_checkpoint_hash_mismatch_rejected(tmp_path):
     path.write_text(text)
     with pytest.raises(ValueError, match="hash"):
         load_checkpoint(path)
+
+
+def test_legacy_checkpoint_loads_renamed(tmp_path):
+    # a v1 file as written before `dataset` and the decoder's `_i` tensor
+    # names were retired: the config carries a dataset line, hashed with it
+    cfg = micro_train_cfg(epochs=2)
+    train(cfg, micro_scenes(count=2), tmp_path)
+    path = tmp_path / "final.ckpt"
+    _, ref, ref_state, ref_epoch = load_checkpoint(path)
+    text = path.read_text()
+    cfg_text = cfg.to_text()
+    legacy_cfg = cfg_text + "dataset = zara1\n"
+    n_lines = len(cfg_text.splitlines())
+    text = (text.replace(f"hash {cfg.digest()}\n",
+                         f"hash {hashlib.sha256(legacy_cfg.encode()).hexdigest()}\n")
+                .replace(f"config-lines {n_lines}\n", f"config-lines {n_lines + 1}\n")
+                .replace(cfg_text, legacy_cfg))
+    for kind in ("W", "U", "b"):
+        assert text.count(f"tensor decoder.{kind}_g ") == 3  # values and both moments
+        text = text.replace(f"tensor decoder.{kind}_g ", f"tensor decoder.{kind}_i ")
+    legacy = tmp_path / "legacy.ckpt"
+    legacy.write_text(text)
+    loaded_cfg, loaded, state, epoch = load_checkpoint(legacy)
+    assert loaded_cfg == cfg and epoch == ref_epoch and state.t == ref_state.t
+    for name in ref.store.names():
+        assert np.array_equal(loaded.store.value(name), ref.store.value(name)), name
+        assert np.array_equal(state.m[name], ref_state.m[name]), name
+        assert np.array_equal(state.v[name], ref_state.v[name]), name
+    with pytest.raises(ValueError, match="unknown key 'dataset'"):
+        TrainConfig.from_text("dataset = zara1\n")
 
 
 def test_checkpoint_preserves_adam_state(tmp_path):
