@@ -71,12 +71,12 @@ def check_social(n=3, q=2, h=6, seed=0, mode="signed"):
     return grad_check(f, store, eps=EPS, f_value=f_value)
 
 
-def _micro_scene_encoder(seed=0):
+def _micro_scene_encoder(seed=0, sigma_transform="sigmoid"):
     rng = Rng(seed)
     store = ParamStore()
     cfg = SceneEncoderConfig(map_size=28, in_channels=2, conv_channels=(3, 4),
                              kernels=(10, 10, 1), strides=(2, 1, 1),
-                             z_dim=3, obs_len=4)
+                             z_dim=3, obs_len=4, sigma_transform=sigma_transform)
     params = SceneEncoderParams(store, rng, cfg)
     from .scene import SemanticMap
 
@@ -85,9 +85,9 @@ def _micro_scene_encoder(seed=0):
     return store, params, smap, observed
 
 
-def check_scene(seed=0):
+def check_scene(seed=0, sigma_transform="sigmoid"):
     """Loss = sum(mu^2) + sum(sigma^2) through conv stack and FC head."""
-    store, params, smap, observed = _micro_scene_encoder(seed)
+    store, params, smap, observed = _micro_scene_encoder(seed, sigma_transform)
 
     def f(s):
         mu, sigma, cache = encode_scene(smap, observed, params)

@@ -7,9 +7,19 @@ included, weighted by a learned pairwise relation score:
     rel(x_i, x_j) = (W_theta x_i) . (W_phi x_j)
     x_i <- x_i + (1/Z_i) * sum_j rel(x_i, x_j) * (W_g x_j),   Z_i = sum_j rel(x_i, x_j)
 
+This is the dot-product relation of Non-local Neural Networks (Wang et al.,
+CVPR 2018), taken over agents at one offset. All (slot, agent) pairs are
+refined at once: the projections T, P and G are (q, n, h) arrays and the
+scores and weights are (q, n, n) arrays. Every stacked product makes the same
+BLAS call per (slot, agent) as a per-agent loop would (a gemv for P @ T[i]
+and for w @ G, a dot for w . dw), and the backward adds its rank-1 terms in
+agent order, so forward and backward are bitwise equal to that loop, which
+tests/test_social.py keeps as the oracle. No gemm such as T @ P.T or
+W.T @ dY is used: it would reassociate the sums.
+
 Only the (n, q, h) hidden array is refined; cell queues are not an input.
 The raw relation scores can sum to zero or a negative value; when
-|Z| < z_eps the refinement for that (agent, slot) is skipped and the entry
+|Z| < Z_EPS the refinement for that (agent, slot) is skipped and the entry
 kept as-is. A softmax weighting over the scores is
 available behind relation_mode="softmax".
 """
@@ -20,7 +30,6 @@ import numpy as np
 
 __all__ = [
     "SocialParams",
-    "relation",
     "refine_forward",
     "refine_backward",
 ]
@@ -42,30 +51,23 @@ class SocialParams:
         self.dW_g = store.grad(f"{prefix}.W_g")
 
 
-def relation(h_i, h_j, params):
-    """Pairwise relation score (W_theta h_i) . (W_phi h_j)."""
-    h_i = np.asarray(h_i, dtype=np.float64)
-    h_j = np.asarray(h_j, dtype=np.float64)
-    if h_i.shape != (params.h,) or h_j.shape != (params.h,):
-        raise ValueError(f"relation expects width-{params.h} vectors, got {h_i.shape} and {h_j.shape}")
-    return float((params.W_theta @ h_i) @ (params.W_phi @ h_j))
-
-
 class RefineCache:
-    __slots__ = ("params", "X", "T", "P", "G", "per_agent", "mode", "used")
+    __slots__ = ("params", "X", "T", "P", "G", "W", "Z", "keep", "mode", "used")
 
-    def __init__(self, params, X, T, P, G, per_agent, mode):
+    def __init__(self, params, X, T, P, G, W, Z, keep, mode):
         self.params = params
         self.X = X
         self.T = T
         self.P = P
         self.G = G
-        self.per_agent = per_agent
+        self.W = W
+        self.Z = Z
+        self.keep = keep
         self.mode = mode
         self.used = False
 
 
-def refine_forward(hidden, params, mode="signed", z_eps=Z_EPS):
+def refine_forward(hidden, params, mode="signed"):
     """Refine the (n, q, h) hidden queues; returns (refined copy, cache for backward).
 
     All reads use the pre-refinement input (no sequential aliasing), which is
@@ -75,39 +77,27 @@ def refine_forward(hidden, params, mode="signed", z_eps=Z_EPS):
     X = np.asarray(hidden, dtype=np.float64)
     if X.ndim != 3 or X.shape[2] != params.h:
         raise ValueError(f"hidden queues must be (n, q, {params.h}), got {X.shape}")
-    n, q, h = X.shape
+    Xs = X.transpose(1, 0, 2)  # (q, n, h): one slot per leading index
+    T = Xs @ params.W_theta.T
+    P = Xs @ params.W_phi.T
+    G = Xs @ params.W_g.T
+    R = np.matmul(P[:, None], T[..., None])[..., 0]  # R[s, i] = P[s] @ T[s, i]
 
-    refined = X.copy()
-    Ts = np.empty((q, n, h))
-    Ps = np.empty((q, n, h))
-    Gs = np.empty((q, n, h))
-    per_agent = []  # per slot: list of (weights | None, Z) per agent
-    for s in range(q):
-        Xs = X[:, s]
-        T = Xs @ params.W_theta.T
-        P = Xs @ params.W_phi.T
-        G = Xs @ params.W_g.T
-        Ts[s], Ps[s], Gs[s] = T, P, G
-        slot_info = []
-        for i in range(n):
-            r = P @ T[i]
-            if mode == "signed":
-                z = float(r.sum())
-                if abs(z) < z_eps:
-                    slot_info.append((None, z))
-                    continue
-                w = r / z
-            elif mode == "softmax":
-                e = np.exp(r - r.max())
-                z = float(e.sum())
-                w = e / z
-            else:
-                raise ValueError(f"unknown relation mode: {mode}")
-            refined[i, s] = Xs[i] + w @ G
-            slot_info.append((w, z))
-        per_agent.append(slot_info)
+    if mode == "signed":
+        Z = R.sum(axis=2)
+        keep = ~(np.abs(Z) < Z_EPS)
+        W = np.divide(R, Z[..., None], out=np.zeros_like(R), where=keep[..., None])
+    elif mode == "softmax":
+        E = np.exp(R - R.max(axis=2, keepdims=True))
+        Z = E.sum(axis=2)
+        keep = np.ones(Z.shape, dtype=bool)
+        W = E / Z[..., None]
+    else:
+        raise ValueError(f"unknown relation mode: {mode}")
 
-    cache = RefineCache(params, X, Ts, Ps, Gs, per_agent, mode)
+    update = Xs + np.matmul(W[:, :, None], G[:, None])[:, :, 0]  # w @ G per (s, i)
+    refined = np.where(keep.T[..., None], update.transpose(1, 0, 2), X)
+    cache = RefineCache(params, X, T, P, G, W, Z, keep, mode)
     return refined, cache
 
 
@@ -117,7 +107,8 @@ def refine_backward(cache, d_hidden_out, params):
     d_hidden_out is (n, q, h) aligned with the refined queues. Accumulates
     into the W_theta / W_phi / W_g gradient slots and returns the (n, q, h)
     gradient for the input queues. Cells are not refined, so their
-    gradients need no backward here.
+    gradients need no backward here. A skipped (agent, slot) has zero
+    weights and passes only the identity gradient.
     """
     if cache.used:
         raise ValueError("stale cache: backward already consumed this refinement")
@@ -125,36 +116,25 @@ def refine_backward(cache, d_hidden_out, params):
         raise ValueError("cache does not belong to these parameters")
     cache.used = True
 
-    X = cache.X
-    n, q, h = X.shape
-    d_hidden_out = np.asarray(d_hidden_out, dtype=np.float64)
-    d_in = np.zeros_like(X)
+    T, P, G, W = cache.T, cache.P, cache.G, cache.W
+    dY = np.asarray(d_hidden_out, dtype=np.float64).transpose(1, 0, 2)
+    dW = np.matmul(G[:, None], dY[..., None])[..., 0]         # G[s] @ dY[s, i]
+    wdw = np.matmul(W[:, :, None], dW[..., None])[..., 0]      # w . dw per (s, i)
+    if cache.mode == "signed":
+        dR = np.divide(dW - wdw, cache.Z[..., None], out=np.zeros_like(dW),
+                       where=cache.keep[..., None])
+    else:
+        dR = W * (dW - wdw)
+    dT = np.matmul(dR[:, :, None], P[:, None])[:, :, 0]      # dr @ P per (s, i)
+    dP = (dR[..., None] * T[:, :, None]).sum(axis=1)         # sum over i of outer(dr_i, T_i)
+    dG = (W[..., None] * dY[:, :, None]).sum(axis=1)         # sum over i of outer(w_i, dy_i)
 
-    for s in range(q):
-        Xs = X[:, s]
-        T, P, G = cache.T[s], cache.P[s], cache.G[s]
-        dX = d_hidden_out[:, s].copy()  # residual path
-        dT = np.zeros((n, h))
-        dP = np.zeros((n, h))
-        dG = np.zeros((n, h))
-        for i in range(n):
-            w, z = cache.per_agent[s][i]
-            if w is None:
-                continue  # refinement was skipped; identity gradient only
-            dy = d_hidden_out[i, s]
-            dw = G @ dy
-            dG += np.outer(w, dy)
-            if cache.mode == "signed":
-                dr = (dw - np.dot(w, dw)) / z
-            else:
-                dr = w * (dw - np.dot(w, dw))
-            dT[i] += dr @ P
-            dP += np.outer(dr, T[i])
-        params.dW_theta += dT.T @ Xs
-        params.dW_phi += dP.T @ Xs
-        params.dW_g += dG.T @ Xs
-        dX += dT @ params.W_theta
-        dX += dP @ params.W_phi
-        dX += dG @ params.W_g
-        d_in[:, s] = dX
-    return d_in
+    Xs = cache.X.transpose(1, 0, 2)
+    for s in range(len(Xs)):
+        params.dW_theta += dT[s].T @ Xs[s]
+        params.dW_phi += dP[s].T @ Xs[s]
+        params.dW_g += dG[s].T @ Xs[s]
+    dX = dY + dT @ params.W_theta
+    dX += dP @ params.W_phi
+    dX += dG @ params.W_g
+    return np.ascontiguousarray(dX.transpose(1, 0, 2))

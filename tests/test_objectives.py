@@ -3,7 +3,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from motionq.numkit import Rng
+from motionq.numkit import ParamStore, Rng, grad_check
 from motionq.objectives import (
     LossConfig,
     ade_fde,
@@ -13,6 +13,8 @@ from motionq.objectives import (
     format_metrics_report,
     nonlinear_filter,
     tcc,
+    variety_backward,
+    variety_forward,
     variety_loss,
 )
 
@@ -136,6 +138,25 @@ def test_variety_per_frame_mode():
     # per-frame mode: mean(5, 0) = 2.5; concat mode: 5
     assert variety_loss(gt, preds, mode="per_frame") == 2.5
     assert variety_loss(gt, preds, mode="concat") == 5.0
+
+
+def test_variety_per_frame_backward_grad_check():
+    # 3 samples of 2 agents over 4 frames, swept entry by entry over the
+    # predictions; each agent's best sample gets the gradient
+    rng = Rng(5)
+    gt = rng.normal((2, 4, 2))
+    store = ParamStore()
+    preds = store.add("preds", rng.normal((3, 2, 4, 2)))
+
+    def f(s):
+        value, cache = variety_forward(gt, preds, mode="per_frame")
+        store.grad("preds")[...] += variety_backward(cache, 1.0)
+        return value
+
+    def f_value(s):
+        return variety_loss(gt, preds, mode="per_frame")
+
+    assert grad_check(f, store, eps=1e-5, f_value=f_value) < 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,10 @@ def test_grad_check_scene_encoder():
     assert gradchecks.check_scene() < 1e-4
 
 
+def test_grad_check_scene_encoder_softplus():
+    assert gradchecks.check_scene(sigma_transform="softplus") < 1e-4
+
+
 # ---------------------------------------------------------------------------
 # latent sampling
 

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from motionq import model as model_module
+from motionq import gradchecks, model as model_module
 from motionq.model import ModelConfig, MotionModel
 from motionq.numkit import ParamStore, Rng
 from motionq.social import (
+    Z_EPS,
     SocialParams,
     refine_backward,
     refine_forward,
-    relation,
 )
 
 
@@ -36,6 +36,89 @@ def refine_oracle(hiddens, w_theta, w_phi, w_g, z_eps=1e-8):
     return out
 
 
+# ---------------------------------------------------------------------------
+# oracle: the per-agent loop the array form replaced, forward and backward
+
+
+def loop_refine(hidden, d_hidden_out, params, mode="signed"):
+    """Refine slot by slot and agent by agent, then backpropagate d_hidden_out.
+
+    Returns (refined, d_in) and accumulates into the params' gradient slots,
+    with every product made the way the loop made it: one gemv per (s, i),
+    rank-1 updates added in agent order.
+    """
+    X = np.asarray(hidden, dtype=np.float64)
+    n, q, h = X.shape
+    refined = X.copy()
+    d_in = np.zeros_like(X)
+    for s in range(q):
+        Xs = X[:, s]
+        T = Xs @ params.W_theta.T
+        P = Xs @ params.W_phi.T
+        G = Xs @ params.W_g.T
+        per_agent = []  # (weights | None, Z) per agent
+        for i in range(n):
+            r = P @ T[i]
+            if mode == "signed":
+                z = float(r.sum())
+                if abs(z) < Z_EPS:
+                    per_agent.append((None, z))
+                    continue
+                w = r / z
+            else:
+                e = np.exp(r - r.max())
+                z = float(e.sum())
+                w = e / z
+            refined[i, s] = Xs[i] + w @ G
+            per_agent.append((w, z))
+
+        dX = d_hidden_out[:, s].copy()  # residual path
+        dT = np.zeros((n, h))
+        dP = np.zeros((n, h))
+        dG = np.zeros((n, h))
+        for i in range(n):
+            w, z = per_agent[i]
+            if w is None:
+                continue  # refinement was skipped; identity gradient only
+            dy = d_hidden_out[i, s]
+            dw = G @ dy
+            dG += np.outer(w, dy)
+            if mode == "signed":
+                dr = (dw - np.dot(w, dw)) / z
+            else:
+                dr = w * (dw - np.dot(w, dw))
+            dT[i] += dr @ P
+            dP += np.outer(dr, T[i])
+        params.dW_theta += dT.T @ Xs
+        params.dW_phi += dP.T @ Xs
+        params.dW_g += dG.T @ Xs
+        dX += dT @ params.W_theta
+        dX += dP @ params.W_phi
+        dX += dG @ params.W_g
+        d_in[:, s] = dX
+    return refined, d_in
+
+
+def assert_matches_loop_bitwise(hidden, d_out, seed, h, mode, setup=None):
+    """Array and loop refinement from twin parameter stores whose gradient
+    slots start from the same non-zero values."""
+    results = []
+    for run in ("array", "loop"):
+        store, params = make_social(Rng(seed), h)
+        if setup is not None:
+            setup(params)
+        for name in store.names():
+            store.grad(name)[...] = Rng(seed + 1).normal((h, h))
+        if run == "array":
+            out, cache = refine_forward(hidden, params, mode=mode)
+            d_in = refine_backward(cache, d_out, params)
+        else:
+            out, d_in = loop_refine(hidden, d_out, params, mode=mode)
+        results.append([out, d_in] + [store.grad(name).copy() for name in store.names()])
+    for label, got, want in zip(("refined", "d_in", "dW_theta", "dW_phi", "dW_g"), *results):
+        assert np.array_equal(got, want), label
+
+
 def make_social(rng, h):
     store = ParamStore()
     params = SocialParams(store, rng, h)
@@ -50,43 +133,6 @@ def random_queues(rng, n, q, h):
 
 def refine(hidden, params, **kwargs):
     return refine_forward(hidden, params, **kwargs)[0]
-
-
-# ---------------------------------------------------------------------------
-# relation
-
-
-def test_relation_identity_unit_vectors():
-    rng = Rng(0)
-    store, params = make_social(rng, 3)
-    params.W_theta[...] = np.eye(3)
-    params.W_phi[...] = np.eye(3)
-    e1 = np.array([1.0, 0.0, 0.0])
-    assert relation(e1, e1, params) == 1.0
-
-
-def test_relation_zero_theta():
-    rng = Rng(1)
-    store, params = make_social(rng, 4)
-    params.W_theta[...] = 0.0
-    assert relation(rng.normal(4), rng.normal(4), params) == 0.0
-
-
-def test_relation_matches_dot_product_oracle():
-    rng = Rng(2)
-    store, params = make_social(rng, 4)
-    for _ in range(50):
-        h_i = rng.normal(4)
-        h_j = rng.normal(4)
-        expected = float(np.dot(params.W_theta @ h_i, params.W_phi @ h_j))
-        assert abs(relation(h_i, h_j, params) - expected) < 1e-12
-
-
-def test_relation_shape_mismatch():
-    rng = Rng(3)
-    store, params = make_social(rng, 4)
-    with pytest.raises(ValueError):
-        relation(np.zeros(3), np.zeros(4), params)
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +224,11 @@ def test_softmax_mode_weights_sum_to_one():
     store, params = make_social(rng, 4)
     hidden, _ = random_queues(rng, 3, 2, 4)
     out, cache = refine_forward(hidden, params, mode="softmax")
-    for slot in cache.per_agent:
-        for w, _ in slot:
-            assert w is not None
-            assert abs(w.sum() - 1.0) < 1e-12
-            assert np.all(w > 0)
+    assert cache.W.shape == (2, 3, 3)  # (q, n, n)
+    assert np.all(cache.keep)
+    for w in cache.W.reshape(-1, 3):
+        assert abs(w.sum() - 1.0) < 1e-12
+        assert np.all(w > 0)
 
 
 def test_inconsistent_queue_shapes_rejected():
@@ -237,6 +283,41 @@ def test_backward_matches_finite_differences():
             vflat[idx] = keep
             num = (fp - fm) / (2 * eps)
             assert abs(num - aflat[idx]) / max(abs(num), abs(aflat[idx]), 1e-8) < 1e-4
+
+
+@pytest.mark.parametrize("mode", ["signed", "softmax"])
+@pytest.mark.parametrize("q", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
+def test_matches_loop_oracle_bitwise(n, q, mode):
+    rng = Rng(100 + 10 * n + q)
+    h = {1: 2, 2: 8, 3: 5, 5: 16, 16: 32}[n]
+    hidden = rng.normal((n, q, h))
+    d_out = rng.normal((n, q, h))
+    assert_matches_loop_bitwise(hidden, d_out, 200 + n, h, mode)
+
+
+def test_matches_loop_oracle_bitwise_with_skipped_agents():
+    # with identity projections, agents a, -a and b (b orthogonal to a) give
+    # Z = 0 exactly for the first two in both slots; the third is refined
+    def identity_relation(params):
+        params.W_theta[...] = np.eye(3)
+        params.W_phi[...] = np.eye(3)
+
+    a = np.array([1.0, 2.0, 0.0])
+    b = np.array([0.0, 0.0, 1.5])
+    hidden = np.stack([np.stack([a, 2 * a]), np.stack([-a, -2 * a]), np.stack([b, b])])
+    d_out = Rng(21).normal(hidden.shape)
+    store, params = make_social(Rng(22), 3)
+    identity_relation(params)
+    out, cache = refine_forward(hidden, params)
+    assert np.array_equal(cache.keep, [[False, False, True]] * 2)
+    assert np.array_equal(out[:2], hidden[:2])
+    assert not np.array_equal(out[2], hidden[2])
+    assert_matches_loop_bitwise(hidden, d_out, 22, 3, "signed", setup=identity_relation)
+
+
+def test_softmax_backward_grad_check():
+    assert gradchecks.check_social(mode="softmax") < 1e-4
 
 
 def test_stale_cache_rejected():
