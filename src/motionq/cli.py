@@ -39,7 +39,8 @@ def _cmd_train(args):
     _, curve = train(cfg, scenes, args.out,
                      log=lambda row: print(
                          f"epoch {row[0]} iter {row[1]} total {row[2]:.5f} "
-                         f"coherence {row[3]:.5f} variety {row[4]:.5f}"))
+                         f"coherence {row[3]:.5f} variety {row[4]:.5f}"),
+                     resume=args.resume)
     print(f"done: {len(curve)} iterations, checkpoints in {args.out}")
 
 
@@ -140,6 +141,8 @@ def main(argv=None):
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--data", required=True, help="dataset manifest path")
     p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--resume", help="checkpoint written by train to continue from; "
+                                    "its config must match in every key but epochs")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="best-of-m metrics for a checkpoint")

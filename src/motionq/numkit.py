@@ -127,6 +127,15 @@ class Rng:
     def shuffle(self, x):
         self._gen.shuffle(x)
 
+    @property
+    def state(self):
+        """The PCG64 bit generator's state; assigning one resumes the stream there."""
+        return self._gen.bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self._gen.bit_generator.state = value
+
     def __repr__(self):
         return f"Rng(seed={self.seed})"
 
@@ -214,49 +223,61 @@ class ParamStore:
             dst[...] = arr
 
     def save(self, path):
-        with open(path, "w") as fh:
+        with open(path, "wb") as fh:
             write_tensors(fh, self._values)
 
     def load(self, path):
-        with open(path) as fh:
-            self.load_values(read_tensors(fh))
+        with open(path, "rb") as fh:
+            try:
+                tensors = read_tensors(fh)
+                if fh.read(1):
+                    raise ValueError("trailing bytes after the tensor block")
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        self.load_values(tensors)
+
+
+# dtype name in a block header -> the little-endian dtype of its payload
+TENSOR_DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
 
 
 def write_tensors(fh, mapping):
-    """Serialize name -> array to a text block.
+    """Serialize name -> array to a binary block in a file opened for bytes.
 
     Layout: a header line ``tensors <count>``, then per tensor one line
-    ``tensor <name> <dtype> <ndim> <dim0> <dim1> ...`` followed by the
-    row-major payload as C99 hex floats (bit-exact round trip), eight per line.
+    ``tensor <name> <dtype> <ndim> <dim0> <dim1> ...`` followed directly by
+    the row-major payload as raw little-endian bytes (bit-exact round trip).
     """
-    fh.write(f"tensors {len(mapping)}\n")
+    fh.write(f"tensors {len(mapping)}\n".encode())
     for name, arr in mapping.items():
         arr = np.asarray(arr)
+        if arr.dtype.name not in TENSOR_DTYPES:
+            raise ValueError(f"tensor {name}: unsupported dtype {arr.dtype.name}")
         dims = " ".join(str(d) for d in arr.shape)
-        fh.write(f"tensor {name} {arr.dtype.name} {arr.ndim} {dims}".rstrip() + "\n")
-        flat = arr.reshape(-1)
-        for start in range(0, flat.size, 8):
-            fh.write(" ".join(float(v).hex() for v in flat[start:start + 8]) + "\n")
+        fh.write(f"tensor {name} {arr.dtype.name} {arr.ndim} {dims}".rstrip().encode() + b"\n")
+        fh.write(arr.astype(TENSOR_DTYPES[arr.dtype.name], copy=False).tobytes())
 
 
 def read_tensors(fh):
-    """Inverse of write_tensors."""
+    """Inverse of write_tensors; raises ValueError on a malformed block."""
     head = fh.readline().split()
-    if len(head) != 2 or head[0] != "tensors":
+    if len(head) != 2 or head[0] != b"tensors" or not head[1].isdigit():
         raise ValueError("bad tensor block header")
-    count = int(head[1])
     out = {}
-    for _ in range(count):
-        parts = fh.readline().split()
-        if not parts or parts[0] != "tensor":
+    for _ in range(int(head[1])):
+        parts = fh.readline().decode("ascii", "replace").split()
+        dims = parts[4:]
+        if (len(parts) < 4 or parts[0] != "tensor" or parts[3] != str(len(dims))
+                or not all(d.isdigit() for d in dims)):
             raise ValueError("bad tensor header line")
-        name, dtype, ndim = parts[1], parts[2], int(parts[3])
-        shape = tuple(int(d) for d in parts[4:4 + ndim])
-        n = int(np.prod(shape)) if shape else 1
-        vals = []
-        while len(vals) < n:
-            vals.extend(float.fromhex(tok) for tok in fh.readline().split())
-        out[name] = np.array(vals, dtype=np.dtype(dtype)).reshape(shape)
+        name, dtype = parts[1], TENSOR_DTYPES.get(parts[2])
+        if dtype is None:
+            raise ValueError(f"tensor {name}: unknown dtype {parts[2]!r}")
+        shape = tuple(int(d) for d in dims)
+        payload = bytearray(int(np.prod(shape, dtype=np.int64)) * dtype.itemsize)
+        if fh.readinto(payload) != len(payload):
+            raise ValueError(f"tensor {name}: truncated payload")
+        out[name] = np.frombuffer(payload, dtype=dtype).reshape(shape)
     return out
 
 

@@ -1,9 +1,11 @@
 """Adam optimization loop, run configuration and checkpointing.
 
 Config files are flat ``key = value`` text ('#' comments allowed); keys match
-TrainConfig field names. Checkpoints are text files carrying the config, the
-epoch, every parameter tensor and the optimizer moments as hex floats, so a
-reload reproduces forward outputs bit for bit at the same precision.
+TrainConfig field names. Checkpoints (``checkpoint-v2``) are a text header
+carrying the config, the epoch and the training random streams, followed by
+every parameter tensor and the optimizer moments as raw little-endian bytes,
+so a reload reproduces forward outputs and resumed training bit for bit at
+the same precision. Older text ``checkpoint-v1`` files still load.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .model import ModelConfig, MotionModel
-from .numkit import Rng, read_tensors, write_tensors
+from .numkit import TENSOR_DTYPES, Rng, read_tensors, write_tensors
 from .objectives import (
     LossConfig,
     MetricsReport,
@@ -36,6 +38,8 @@ __all__ = [
 
 
 BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+CHECKPOINT_MAGIC = b"checkpoint-v2\n"
+LEGACY_MAGIC = b"checkpoint-v1\n"  # text tensor blocks, still read
 # tensors renamed since v1 files were first written: old name -> name now
 LEGACY_TENSOR_NAMES = {f"decoder.{kind}_i": f"decoder.{kind}_g" for kind in ("W", "U", "b")}
 CHOICES = {
@@ -191,56 +195,94 @@ def adam_step(store, state, lr, betas=(0.9, 0.999), eps=1e-8):
         store.value(name)[...] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
-def train(cfg: TrainConfig, scenes, out_dir, log=None):
+def train(cfg: TrainConfig, scenes, out_dir, log=None, resume=None):
     """Full optimization run; returns (model, loss curve).
 
     Scenes are shuffled per epoch from the config seed, batched, and each
     batch's mean gradient drives one Adam step. The curve rows are
     (epoch, iteration, total, coherence, variety). A rolling checkpoint is
     written every checkpoint_every epochs and a final one at the end.
+
+    `resume` is the path of a checkpoint written by train: the run goes on
+    after that checkpoint's epoch from its parameters, Adam moments and
+    random streams, so train(k epochs) then a resumed train(N epochs) makes
+    bitwise the rows, parameters and moments of train(N epochs). The
+    checkpoint's config must equal cfg in every field but `epochs`. The
+    curve and loss_curve.txt then hold the resumed epochs' rows only.
     """
     if not scenes:
         raise ValueError("empty dataset")
     os.makedirs(out_dir, exist_ok=True)
-    model = build_model(cfg)
-    state = AdamState(model.store)
-    shuffle_rng = Rng(cfg.seed + 1)
-    loss_rng = Rng(cfg.seed + 2)
+    streams = {"shuffle": Rng(cfg.seed + 1), "loss": Rng(cfg.seed + 2)}
+    if resume is None:
+        model = build_model(cfg)
+        state = AdamState(model.store)
+        first_epoch = 0
+    else:
+        model, state, first_epoch = _resume(cfg, resume, streams)
     loss_cfg = cfg.loss_config()
     curve = []
-    iteration = 0
-    for epoch in range(cfg.epochs):
+    iteration = state.t
+    for epoch in range(first_epoch, cfg.epochs):
         order = np.arange(len(scenes))
-        shuffle_rng.shuffle(order)
+        streams["shuffle"].shuffle(order)
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             model.store.zero_grads()
             sums = {"total": 0.0, "coherence": 0.0, "variety": 0.0}
             for idx in batch:
-                parts = model.loss_and_grad(scenes[idx], loss_cfg, loss_rng)
+                parts = model.loss_and_grad(scenes[idx], loss_cfg, streams["loss"])
                 for key in sums:
                     sums[key] += parts[key]
-            model.store.scale_grads(1.0 / len(batch))
-            adam_step(model.store, state, cfg.lr, (cfg.beta1, cfg.beta2), cfg.adam_eps)
             row = (epoch, iteration,
                    sums["total"] / len(batch),
                    sums["coherence"] / len(batch),
                    sums["variety"] / len(batch))
             if not np.isfinite(row[2]):
-                raise FloatingPointError(f"non-finite loss at iteration {iteration}")
+                raise FloatingPointError(
+                    f"non-finite loss at {_batch_place(epoch, iteration, scenes, batch)}")
+            model.store.scale_grads(1.0 / len(batch))
+            try:
+                adam_step(model.store, state, cfg.lr, (cfg.beta1, cfg.beta2), cfg.adam_eps)
+            except FloatingPointError as exc:
+                raise FloatingPointError(
+                    f"{exc} at {_batch_place(epoch, iteration, scenes, batch)}") from None
             curve.append(row)
             if log is not None:
                 log(row)
             iteration += 1
         if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
-            save_checkpoint(os.path.join(out_dir, "last.ckpt"), model.store, state, cfg, epoch)
+            save_checkpoint(os.path.join(out_dir, "last.ckpt"), model.store, state, cfg, epoch,
+                            streams)
     final = os.path.join(out_dir, "final.ckpt")
-    save_checkpoint(final, model.store, state, cfg, cfg.epochs - 1)
+    save_checkpoint(final, model.store, state, cfg, cfg.epochs - 1, streams)
     with open(os.path.join(out_dir, "loss_curve.txt"), "w") as fh:
         fh.write("# epoch iteration total coherence variety\n")
         for row in curve:
             fh.write(f"{row[0]} {row[1]} {row[2]:.8f} {row[3]:.8f} {row[4]:.8f}\n")
     return model, curve
+
+
+def _batch_place(epoch, iteration, scenes, batch):
+    return f"epoch {epoch}, iteration {iteration}, scenes {[scenes[i].scene_id for i in batch]}"
+
+
+def _resume(cfg, path, streams):
+    """(model, AdamState, first epoch) from a checkpoint written by train;
+    sets each stream in `streams` to its stored state."""
+    saved_cfg, model, state, epoch, saved = _read_checkpoint(path)
+    differ = [f.name for f in fields(cfg)
+              if f.name != "epochs" and getattr(cfg, f.name) != getattr(saved_cfg, f.name)]
+    if differ:
+        raise ValueError(f"{path}: cannot resume, the config differs in {', '.join(differ)}")
+    if set(saved) != set(streams):
+        raise ValueError(f"{path}: cannot resume, the checkpoint holds no training random streams")
+    if epoch >= cfg.epochs:
+        raise ValueError(f"{path}: cannot resume, epoch {epoch} is past the last epoch "
+                         f"{cfg.epochs - 1}")
+    for name, rng in streams.items():
+        rng.state = saved[name]
+    return model, state, epoch + 1
 
 
 def evaluate(model, scenes, m, seed=1234, nonlinear_only=False, nonlinear_threshold=0.1,
@@ -287,20 +329,28 @@ def evaluate(model, scenes, m, seed=1234, nonlinear_only=False, nonlinear_thresh
     )
 
 
-def save_checkpoint(path, store, state, cfg, epoch):
-    """Write the checkpoint to a temporary file beside `path`, flush and fsync
-    it, then rename it over `path`: an interrupted save leaves the previous
-    checkpoint whole."""
+def save_checkpoint(path, store, state, cfg, epoch, streams=None):
+    """Write a checkpoint-v2 file: the text header, then the parameter and
+    Adam m and v tensor blocks. `streams` maps a name to each training Rng
+    whose state a resumed run needs.
+
+    The file is written to a temporary file beside `path`, flushed and
+    fsynced, then renamed over `path`: an interrupted save leaves the
+    previous checkpoint whole.
+    """
     cfg_text = cfg.to_text()
+    streams = streams or {}
+    head = [f"hash {cfg.digest()}", f"epoch {epoch}", f"adam-t {state.t}",
+            f"streams {len(streams)}"]
+    for name, rng in streams.items():
+        st = rng.state
+        head.append(f"stream {name} {st['state']['state']} {st['state']['inc']} "
+                    f"{st['has_uint32']} {st['uinteger']}")
+    head.append(f"config-lines {len(cfg_text.splitlines())}")
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write("checkpoint-v1\n")
-            fh.write(f"hash {cfg.digest()}\n")
-            fh.write(f"epoch {epoch}\n")
-            fh.write(f"adam-t {state.t}\n")
-            fh.write(f"config-lines {len(cfg_text.splitlines())}\n")
-            fh.write(cfg_text)
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC + ("\n".join(head) + "\n" + cfg_text).encode())
             write_tensors(fh, {name: store.value(name) for name in store.names()})
             write_tensors(fh, state.m)
             write_tensors(fh, state.v)
@@ -315,31 +365,91 @@ def save_checkpoint(path, store, state, cfg, epoch):
 def load_checkpoint(path):
     """Returns (cfg, model, AdamState, epoch) with parameters loaded in place.
 
-    The stored hash is checked against the stored config text. Files written
+    Reads checkpoint-v2 files and the older text checkpoint-v1 files. The
+    stored hash is checked against the stored config text, and a malformed
+    or truncated file raises ValueError naming `path`. v1 files written
     before the `dataset` key and the decoder's `_i` tensor names were retired
     still load: the `dataset` line is dropped and the tensors are renamed.
     """
-    with open(path) as fh:
-        if fh.readline().strip() != "checkpoint-v1":
-            raise ValueError(f"{path}: not a checkpoint file")
-        digest = fh.readline().split()[1]
-        epoch = int(fh.readline().split()[1])
-        adam_t = int(fh.readline().split()[1])
-        n_lines = int(fh.readline().split()[1])
-        cfg_lines = [fh.readline() for _ in range(n_lines)]
-        if hashlib.sha256("".join(cfg_lines).encode()).hexdigest() != digest:
-            raise ValueError(f"{path}: config hash mismatch")
-        cfg = TrainConfig.from_text("".join(
-            line for line in cfg_lines if line.partition("=")[0].strip() != "dataset"))
-        blocks = [read_tensors(fh) for _ in range(3)]  # parameters, Adam m, Adam v
-    values, moments_m, moments_v = (
-        {LEGACY_TENSOR_NAMES.get(name, name): arr for name, arr in block.items()}
-        for block in blocks)
-    model = build_model(cfg)
-    model.store.load_values(values)
-    state = AdamState(model.store)
-    state.t = adam_t
-    for name in model.store.names():
-        state.m[name][...] = moments_m[name]
-        state.v[name][...] = moments_v[name]
-    return cfg, model, state, epoch
+    return _read_checkpoint(path)[:4]
+
+
+def _read_checkpoint(path):
+    """load_checkpoint's result plus the stored random streams, as a dict of
+    name -> PCG64 state (empty for v1 files and saves without streams)."""
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.readline()
+            if magic not in (CHECKPOINT_MAGIC, LEGACY_MAGIC):
+                raise ValueError("not a checkpoint file")
+            digest = _header_field(fh, "hash")
+            epoch = int(_header_field(fh, "epoch"))
+            adam_t = int(_header_field(fh, "adam-t"))
+            streams = {}
+            if magic == CHECKPOINT_MAGIC:
+                for _ in range(int(_header_field(fh, "streams"))):
+                    name, *nums = _header_field(fh, "stream").split()
+                    if len(nums) != 4:
+                        raise ValueError(f"stream {name}: expected 4 state integers")
+                    st, inc, has_uint32, uinteger = (int(v) for v in nums)
+                    streams[name] = {"bit_generator": "PCG64",
+                                     "state": {"state": st, "inc": inc},
+                                     "has_uint32": has_uint32, "uinteger": uinteger}
+            n_lines = int(_header_field(fh, "config-lines"))
+            cfg_bytes = b"".join(fh.readline() for _ in range(n_lines))
+            if hashlib.sha256(cfg_bytes).hexdigest() != digest:
+                raise ValueError("config hash mismatch")
+            cfg = TrainConfig.from_text("".join(
+                line for line in cfg_bytes.decode().splitlines(keepends=True)
+                if line.partition("=")[0].strip() != "dataset"))
+            read = read_tensors if magic == CHECKPOINT_MAGIC else _read_v1_tensors
+            blocks = [read(fh) for _ in range(3)]  # parameters, Adam m, Adam v
+            if fh.read(1):
+                raise ValueError("trailing bytes after the third tensor block")
+        values, moments_m, moments_v = (
+            {LEGACY_TENSOR_NAMES.get(name, name): arr for name, arr in block.items()}
+            for block in blocks)
+        model = build_model(cfg)
+        model.store.load_values(values)
+        if set(moments_m) != set(values) or set(moments_v) != set(values):
+            raise ValueError("Adam moment names do not match the parameter names")
+        state = AdamState(model.store)
+        state.t = adam_t
+        for name in model.store.names():
+            state.m[name][...] = moments_m[name]
+            state.v[name][...] = moments_v[name]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return cfg, model, state, epoch, streams
+
+
+def _header_field(fh, key):
+    """Value of the next header line, which must read `<key> <value>`."""
+    line = fh.readline().decode("ascii", "replace").strip()
+    found, _, value = line.partition(" ")
+    if found != key or not value:
+        raise ValueError(f"expected a {key!r} header line, got {line[:60]!r}")
+    return value
+
+
+def _read_v1_tensors(fh):
+    """One hex-float text tensor block of a checkpoint-v1 file."""
+    head = fh.readline().split()
+    if len(head) != 2 or head[0] != b"tensors":
+        raise ValueError("bad tensor block header")
+    out = {}
+    for _ in range(int(head[1])):
+        parts = fh.readline().decode("ascii", "replace").split()
+        if len(parts) < 4 or parts[0] != "tensor" or parts[2] not in TENSOR_DTYPES:
+            raise ValueError("bad tensor header line")
+        name, dtype, ndim = parts[1], parts[2], int(parts[3])
+        shape = tuple(int(d) for d in parts[4:4 + ndim])
+        n = int(np.prod(shape)) if shape else 1
+        vals = []
+        while len(vals) < n:
+            line = fh.readline()
+            if not line:
+                raise ValueError(f"tensor {name}: truncated payload")
+            vals.extend(float.fromhex(tok) for tok in line.decode("ascii").split())
+        out[name] = np.array(vals, dtype=np.dtype(dtype)).reshape(shape)
+    return out

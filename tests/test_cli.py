@@ -73,3 +73,20 @@ def test_eval_nonlinear_flag(tmp_path, capsys):
           "--samples", "2", "--nonlinear-only"])
     out = capsys.readouterr().out
     assert "ade all" in out
+
+
+def test_train_resume_continues_run(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    main(["synth", "--kind", "turning", "--count", "2", "--out", str(data_dir),
+          "--noise", "0.01", "--seed", "1"])
+    manifest = str(data_dir / "manifest.txt")
+    two = str(write_config(tmp_path / "two.cfg", epochs=2))
+    one = str(write_config(tmp_path / "one.cfg", epochs=1))
+    main(["train", "--config", two, "--data", manifest, "--out", str(tmp_path / "full")])
+    main(["train", "--config", one, "--data", manifest, "--out", str(tmp_path / "head")])
+    capsys.readouterr()
+    main(["train", "--config", two, "--data", manifest, "--out", str(tmp_path / "tail"),
+          "--resume", str(tmp_path / "head" / "last.ckpt")])
+    assert "epoch 1 iter 1 " in capsys.readouterr().out
+    assert ((tmp_path / "tail" / "final.ckpt").read_bytes()
+            == (tmp_path / "full" / "final.ckpt").read_bytes())

@@ -1,9 +1,11 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from motionq.data import synth_dataset
+from motionq.model import MotionModel
 from motionq.numkit import ParamStore, Rng
 from motionq.trainer import (
     AdamState,
@@ -134,8 +136,8 @@ def test_train_deterministic_and_finite(tmp_path):
     _, curve_b = train(cfg, scenes, tmp_path / "b")
     assert curve_a == curve_b
     assert all(np.isfinite(row[2]) for row in curve_a)
-    ckpt_a = (tmp_path / "a" / "final.ckpt").read_text()
-    ckpt_b = (tmp_path / "b" / "final.ckpt").read_text()
+    ckpt_a = (tmp_path / "a" / "final.ckpt").read_bytes()
+    ckpt_b = (tmp_path / "b" / "final.ckpt").read_bytes()
     assert ckpt_a == ckpt_b
 
 
@@ -213,10 +215,58 @@ def test_checkpoint_hash_mismatch_rejected(tmp_path):
     state = AdamState(model.store)
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, model.store, state, cfg, 0)
-    text = path.read_text().replace("seed = 0", "seed = 1")
-    path.write_text(text)
+    data = path.read_bytes().replace(b"seed = 0", b"seed = 1")
+    path.write_bytes(data)
     with pytest.raises(ValueError, match="hash"):
         load_checkpoint(path)
+
+
+def write_v1_tensors(fh, mapping):
+    """The text tensor block of checkpoint-v1 files: a header line per
+    tensor, then its row-major values as C99 hex floats, eight per line."""
+    fh.write(f"tensors {len(mapping)}\n")
+    for name, arr in mapping.items():
+        arr = np.asarray(arr)
+        dims = " ".join(str(d) for d in arr.shape)
+        fh.write(f"tensor {name} {arr.dtype.name} {arr.ndim} {dims}".rstrip() + "\n")
+        flat = arr.reshape(-1)
+        for start in range(0, flat.size, 8):
+            fh.write(" ".join(float(v).hex() for v in flat[start:start + 8]) + "\n")
+
+
+def write_v1_checkpoint(path, store, state, cfg, epoch):
+    """A checkpoint-v1 file, as save_checkpoint wrote them before v2."""
+    cfg_text = cfg.to_text()
+    with open(path, "w") as fh:
+        fh.write("checkpoint-v1\n")
+        fh.write(f"hash {cfg.digest()}\n")
+        fh.write(f"epoch {epoch}\n")
+        fh.write(f"adam-t {state.t}\n")
+        fh.write(f"config-lines {len(cfg_text.splitlines())}\n")
+        fh.write(cfg_text)
+        write_v1_tensors(fh, {name: store.value(name) for name in store.names()})
+        write_v1_tensors(fh, state.m)
+        write_v1_tensors(fh, state.v)
+
+
+def assert_same_training_state(store, state, ref_store, ref_state):
+    assert state.t == ref_state.t
+    for name in ref_store.names():
+        assert np.array_equal(store.value(name), ref_store.value(name)), name
+        assert store.value(name).dtype == ref_store.value(name).dtype, name
+        assert np.array_equal(state.m[name], ref_state.m[name]), name
+        assert np.array_equal(state.v[name], ref_state.v[name]), name
+
+
+def test_v1_checkpoint_loads_bitwise(tmp_path):
+    cfg = micro_train_cfg(epochs=2)
+    ref, _ = train(cfg, micro_scenes(count=2), tmp_path)
+    _, _, ref_state, _ = load_checkpoint(tmp_path / "final.ckpt")
+    path = tmp_path / "v1.ckpt"
+    write_v1_checkpoint(path, ref.store, ref_state, cfg, 1)
+    loaded_cfg, loaded, state, epoch = load_checkpoint(path)
+    assert loaded_cfg == cfg and epoch == 1
+    assert_same_training_state(loaded.store, state, ref.store, ref_state)
 
 
 def test_legacy_checkpoint_loads_renamed(tmp_path):
@@ -224,8 +274,9 @@ def test_legacy_checkpoint_loads_renamed(tmp_path):
     # names were retired: the config carries a dataset line, hashed with it
     cfg = micro_train_cfg(epochs=2)
     train(cfg, micro_scenes(count=2), tmp_path)
-    path = tmp_path / "final.ckpt"
-    _, ref, ref_state, ref_epoch = load_checkpoint(path)
+    _, ref, ref_state, ref_epoch = load_checkpoint(tmp_path / "final.ckpt")
+    path = tmp_path / "v1.ckpt"
+    write_v1_checkpoint(path, ref.store, ref_state, cfg, ref_epoch)
     text = path.read_text()
     cfg_text = cfg.to_text()
     legacy_cfg = cfg_text + "dataset = zara1\n"
@@ -297,3 +348,108 @@ def test_interrupted_checkpoint_save_keeps_previous(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     _, _, _, epoch = load_checkpoint(path)
     assert epoch == 0
+
+
+def test_float32_checkpoint_roundtrip_bitwise(tmp_path):
+    cfg = micro_train_cfg(epochs=1, precision="32")
+    model, _ = train(cfg, micro_scenes(count=2), tmp_path)
+    data = (tmp_path / "final.ckpt").read_bytes()
+    assert b" float32 " in data and b" float64 " not in data
+    loaded_cfg, loaded, state, _ = load_checkpoint(tmp_path / "final.ckpt")
+    assert loaded_cfg == cfg
+    for name in model.store.names():
+        assert loaded.store.value(name).dtype == np.float32
+        assert state.m[name].dtype == np.float32 and state.v[name].dtype == np.float32
+        assert loaded.store.value(name).tobytes() == model.store.value(name).tobytes(), name
+
+
+def test_malformed_checkpoint_fails_naming_path(tmp_path):
+    cfg = micro_train_cfg(epochs=1)
+    model = build_model(cfg)
+    state = AdamState(model.store)
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, model.store, state, cfg, 0)
+    data = good.read_bytes()
+    blocks = [m.start() for m in re.finditer(rb"tensors \d+\n", data)]
+    assert len(blocks) == 3  # parameters, Adam m, Adam v
+    cuts = [0, 5, blocks[0] // 2, len(data) - 1]
+    for start, end in zip(blocks, blocks[1:] + [len(data)]):
+        line_end = data.index(b"\n", data.index(b"\n", start) + 1)  # first tensor's header
+        cuts += [start, start + 4, line_end - 3, line_end + 1, line_end + 9, (start + end) // 2,
+                 end - 1]
+    bad = tmp_path / "bad.ckpt"
+    for cut in cuts:
+        bad.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            load_checkpoint(bad)
+    cases = [
+        (data + b"\0", "trailing bytes"),
+        (data.replace(b" float64 ", b" float16 ", 1), "unknown dtype 'float16'"),
+        (b"checkpoint-v3" + data[len(b"checkpoint-v2"):], "not a checkpoint file"),
+    ]
+    for broken, reason in cases:
+        bad.write_bytes(broken)
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: ") + ".*" + re.escape(reason)):
+            load_checkpoint(bad)
+
+
+def test_resume_matches_uninterrupted_run_bitwise(tmp_path):
+    scenes = micro_scenes(count=4)
+    full_model, full_curve = train(micro_train_cfg(epochs=3), scenes, tmp_path / "full")
+    _, head = train(micro_train_cfg(epochs=1), scenes, tmp_path / "head")
+    model, tail = train(micro_train_cfg(epochs=3), scenes, tmp_path / "tail",
+                        resume=tmp_path / "head" / "last.ckpt")
+    assert [row[:2] for row in tail] == [(1, 2), (1, 3), (2, 4), (2, 5)]
+    assert head + tail == full_curve
+    _, _, full_state, _ = load_checkpoint(tmp_path / "full" / "final.ckpt")
+    _, _, state, _ = load_checkpoint(tmp_path / "tail" / "final.ckpt")
+    assert_same_training_state(model.store, state, full_model.store, full_state)
+    assert ((tmp_path / "tail" / "final.ckpt").read_bytes()
+            == (tmp_path / "full" / "final.ckpt").read_bytes())
+
+
+def test_resume_rejects_other_config_or_missing_streams(tmp_path):
+    scenes = micro_scenes(count=2)
+    train(micro_train_cfg(epochs=2), scenes, tmp_path / "a")
+    ckpt = tmp_path / "a" / "final.ckpt"
+    with pytest.raises(ValueError, match="config differs in lr"):
+        train(micro_train_cfg(epochs=3, lr=2e-3), scenes, tmp_path / "b", resume=ckpt)
+    with pytest.raises(ValueError, match="epoch 1 is past the last epoch 0"):
+        train(micro_train_cfg(epochs=1), scenes, tmp_path / "b", resume=ckpt)
+    cfg = micro_train_cfg(epochs=1)
+    model = build_model(cfg)
+    bare = tmp_path / "bare.ckpt"
+    save_checkpoint(bare, model.store, AdamState(model.store), cfg, 0)
+    with pytest.raises(ValueError, match="no training random streams"):
+        train(micro_train_cfg(epochs=2), scenes, tmp_path / "b", resume=bare)
+
+
+@pytest.mark.parametrize("broken", ["loss", "gradient"])
+def test_nonfinite_training_error_names_epoch_iteration_and_scenes(tmp_path, monkeypatch,
+                                                                    broken):
+    cfg = micro_train_cfg(epochs=2)
+    scenes = micro_scenes(count=4)
+    real = MotionModel.loss_and_grad
+
+    def nan_for_scene_2(self, scene, loss_cfg, rng):
+        parts = real(self, scene, loss_cfg, rng)
+        if scene is scenes[2]:
+            if broken == "loss":
+                parts = dict(parts, total=float("nan"))
+            else:
+                self.store.grad(self.store.names()[-1])[...] = np.nan
+        return parts
+
+    monkeypatch.setattr(MotionModel, "loss_and_grad", nan_for_scene_2)
+    with pytest.raises(FloatingPointError) as err:
+        train(cfg, scenes, tmp_path)
+    order = np.arange(len(scenes))
+    Rng(cfg.seed + 1).shuffle(order)
+    iteration = list(order).index(2) // cfg.batch_size
+    batch = order[iteration * cfg.batch_size:(iteration + 1) * cfg.batch_size]
+    message = str(err.value)
+    assert message.startswith("non-finite loss" if broken == "loss"
+                              else "non-finite gradient in parameter")
+    assert f"epoch 0, iteration {iteration}, scenes " in message
+    for i in batch:
+        assert repr(scenes[i].scene_id) in message
