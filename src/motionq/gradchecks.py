@@ -15,7 +15,7 @@ from .data import synth_scene
 from .model import DecoderParams, ModelConfig, MotionModel
 from .numkit import ParamStore, Rng, grad_check
 from .objectives import LossConfig
-from .scene import SceneEncoderConfig, SceneEncoderParams, encode_scene, encode_scene_backward
+from .scene import SceneEncoderParams, SemanticMap, encode_scene, encode_scene_backward
 from .social import SocialParams, refine_forward, refine_backward
 
 BOUND = 1e-4
@@ -71,23 +71,20 @@ def check_social(n=3, q=2, h=6, seed=0, mode="signed"):
     return grad_check(f, store, eps=EPS, f_value=f_value)
 
 
-def _micro_scene_encoder(seed=0, sigma_transform="sigmoid"):
+def _micro_scene_encoder(seed=0):
     rng = Rng(seed)
     store = ParamStore()
-    cfg = SceneEncoderConfig(map_size=28, in_channels=2, conv_channels=(3, 4),
-                             kernels=(10, 10, 1), strides=(2, 1, 1),
-                             z_dim=3, obs_len=4, sigma_transform=sigma_transform)
+    cfg = ModelConfig(map_size=28, map_channels=2, conv_channels=(3, 4),
+                      conv_kernels=(10, 10, 1), conv_strides=(2, 1, 1), z_dim=3, obs_len=4)
     params = SceneEncoderParams(store, rng, cfg)
-    from .scene import SemanticMap
-
     smap = SemanticMap(rng.normal((28, 28, 2)))
     observed = rng.normal((2, 4, 2))
     return store, params, smap, observed
 
 
-def check_scene(seed=0, sigma_transform="sigmoid"):
+def check_scene(seed=0):
     """Loss = sum(mu^2) + sum(sigma^2) through conv stack and FC head."""
-    store, params, smap, observed = _micro_scene_encoder(seed, sigma_transform)
+    store, params, smap, observed = _micro_scene_encoder(seed)
 
     def f(s):
         mu, sigma, cache = encode_scene(smap, observed, params)

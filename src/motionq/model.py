@@ -33,13 +33,7 @@ from .objectives import (
     variety_backward,
 )
 from .queues import push_pop
-from .scene import (
-    SceneEncoderConfig,
-    SceneEncoderParams,
-    encode_scene,
-    encode_scene_backward,
-    sample_latent,
-)
+from .scene import SceneEncoderParams, encode_scene, encode_scene_backward, sample_latent
 from .social import SocialParams, refine_forward, refine_backward
 
 __all__ = [
@@ -54,7 +48,6 @@ __all__ = [
 
 @dataclass
 class ModelConfig:
-    d: int = 2
     h: int = 32
     q: int = 3
     z_dim: int = 16
@@ -68,22 +61,8 @@ class ModelConfig:
     conv_channels: tuple = (8, 16)
     conv_kernels: tuple = (10, 10, 1)
     conv_strides: tuple = (6, 4, 1)
-    sigma_transform: str = "sigmoid"
-    sigma_bias: float = 0.0
+    sigma_bias: float = 0.0  # init of the sigma-half FC bias; negative starts near-deterministic
     relation_mode: str = "signed"
-
-    def scene_encoder_config(self):
-        return SceneEncoderConfig(
-            map_size=self.map_size,
-            in_channels=self.map_channels,
-            conv_channels=self.conv_channels,
-            kernels=self.conv_kernels,
-            strides=self.conv_strides,
-            z_dim=self.z_dim,
-            obs_len=self.obs_len,
-            sigma_transform=self.sigma_transform,
-            sigma_bias=self.sigma_bias,
-        )
 
 
 class DecoderParams:
@@ -137,12 +116,9 @@ class MotionModel:
     def __init__(self, cfg: ModelConfig, rng, dtype=np.float64):
         self.cfg = cfg
         self.store = ParamStore(dtype)
-        self.cell = CellParams(self.store, rng, d=cfg.d, h=cfg.h)
+        self.cell = CellParams(self.store, rng, d=2, h=cfg.h)
         self.social = SocialParams(self.store, rng, cfg.h) if cfg.use_social else None
-        self.scene_enc = (
-            SceneEncoderParams(self.store, rng, cfg.scene_encoder_config())
-            if cfg.use_latent else None
-        )
+        self.scene_enc = SceneEncoderParams(self.store, rng, cfg) if cfg.use_latent else None
         z_dim = cfg.z_dim if cfg.use_latent else 0
         self.decoder = DecoderParams(self.store, rng, h_enc=cfg.h, z_dim=z_dim, dec_h=cfg.dec_h)
 
@@ -156,8 +132,8 @@ class MotionModel:
         the hidden queues across all agents (a per-frame barrier).
         """
         obs_disp = np.asarray(obs_disp, dtype=np.float64)
-        if obs_disp.ndim != 3 or obs_disp.shape[2] != self.cfg.d:
-            raise ValueError(f"observed displacements must be (n, t, {self.cfg.d}), got {obs_disp.shape}")
+        if obs_disp.ndim != 3 or obs_disp.shape[2] != 2:
+            raise ValueError(f"observed displacements must be (n, t, 2), got {obs_disp.shape}")
         n, t_obs = obs_disp.shape[0], obs_disp.shape[1]
         if t_obs < 1:
             raise ValueError("need at least one observation frame")
@@ -332,7 +308,7 @@ class MotionModel:
         preds, dec_cache = self.decode(state.h_obs, zs, steps, last_pos, last_disp,
                                        want_cache=with_grad)
 
-        var_value, var_cache = variety_forward(gt, preds, loss_cfg.variety_mode)
+        var_value, var_cache = variety_forward(gt, preds)
         coh_value, coh_cache = coherence_forward(state.features, self.cfg.q, loss_cfg, rng)
         total = loss_cfg.lam * coh_value + var_value
         parts = {"total": float(total), "coherence": float(coh_value), "variety": float(var_value)}

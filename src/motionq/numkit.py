@@ -16,7 +16,6 @@ __all__ = [
     "sigmoid",
     "rowwise",
     "relu",
-    "softplus",
     "cosine_sim",
     "cosine_sim_grad",
     "Rng",
@@ -57,12 +56,6 @@ def rowwise(W, X):
 
 def relu(x):
     return np.maximum(x, 0.0)
-
-
-def softplus(x):
-    """log(1 + exp(x)) without overflow for large x."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
 
 
 def cosine_sim(a, b, eps=COSINE_EPS):
@@ -183,13 +176,6 @@ class ParamStore:
 
     def names(self):
         return list(self._values.keys())
-
-    def __contains__(self, name):
-        return name in self._values
-
-    def size(self):
-        """Total number of scalar entries across all tensors."""
-        return sum(v.size for v in self._values.values())
 
     def zero_grads(self):
         for g in self._grads.values():

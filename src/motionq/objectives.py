@@ -2,8 +2,9 @@
 
 Losses: a margin-based cosine coherence regularizer over same-agent hidden
 features (pairs closer than the queue length are pulled together, pairs
-further apart are pushed below a margin) and a best-of-m variety loss on
-predicted trajectories. Metrics: ADE, FDE and the temporal correlation
+further apart are pushed below a margin) and Social GAN's best-of-m variety
+loss, the L2 error of each agent's whole predicted trajectory against its
+ground truth, minimised over the m samples. Metrics: ADE, FDE and the temporal correlation
 coefficient (mean Pearson correlation per axis between predicted and true
 coordinate sequences), plus the non-linear trajectory filter used for
 hard-subset reports.
@@ -44,7 +45,6 @@ class LossConfig:
     margin: float = 0.5
     m: int = 20                 # variety samples
     pairs_per_batch: int = 64
-    variety_mode: str = "concat"  # "concat" | "per_frame"
 
     def __post_init__(self):
         if self.lam < 0:
@@ -124,56 +124,42 @@ def coherence_loss(features, q, cfg, rng):
 # variety loss
 
 
-def _traj_errors(gt, preds, mode):
-    """Per (sample, agent) trajectory distance between gt (n,t,2) and preds (m,n,t,2)."""
-    diff = preds - gt[None]
-    if mode == "concat":
-        return np.sqrt((diff ** 2).sum(axis=(2, 3)))
-    if mode == "per_frame":
-        return np.linalg.norm(diff, axis=3).mean(axis=2)
-    raise ValueError(f"unknown variety mode: {mode}")
-
-
-def variety_forward(gt, preds, mode="concat"):
+def variety_forward(gt, preds):
     """Best-of-m trajectory error; returns (value, cache).
 
-    gt is (n_agents, t, 2); preds is (m, n_agents, t, 2). Each agent selects
-    its own best sample; the loss is the mean over agents of that minimum.
+    gt is (n_agents, t, 2); preds is (m, n_agents, t, 2). A sample's error
+    for an agent is the L2 norm of its whole (t, 2) trajectory difference.
+    Each agent selects its own best sample; the loss is the mean over agents
+    of that minimum.
     """
     gt = np.asarray(gt, dtype=np.float64)
     preds = np.asarray(preds, dtype=np.float64)
     if preds.ndim != 4 or preds.shape[1:] != gt.shape:
         raise ValueError(f"prediction set {preds.shape} does not align with ground truth {gt.shape}")
-    errs = _traj_errors(gt, preds, mode)  # (m, n)
-    best = errs.argmin(axis=0)            # (n,)
+    errs = np.sqrt(((preds - gt[None]) ** 2).sum(axis=(2, 3)))  # (m, n)
+    best = errs.argmin(axis=0)                                  # (n,)
     n = gt.shape[0]
     value = float(errs[best, np.arange(n)].mean())
-    cache = (gt, preds, errs, best, mode)
-    return value, cache
+    return value, (gt, preds, errs, best)
 
 
 def variety_backward(cache, d_value):
-    """d(value)/d(preds), nonzero only along each agent's best sample."""
-    gt, preds, errs, best, mode = cache
-    n, t = gt.shape[0], gt.shape[1]
+    """d(value)/d(preds), nonzero only along each agent's best sample (and
+    zero for an agent whose best error is exactly 0)."""
+    gt, preds, errs, best = cache
+    n = gt.shape[0]
+    agents = np.arange(n)
+    err = errs[best, agents]
+    hit = err > 0
     d_preds = np.zeros_like(preds)
-    for i in range(n):
-        k = best[i]
-        e = errs[k, i]
-        diff = preds[k, i] - gt[i]
-        if mode == "concat":
-            if e > 0:
-                d_preds[k, i] = d_value * diff / (e * n)
-        else:
-            norms = np.linalg.norm(diff, axis=1)
-            safe = norms > 0
-            d_preds[k, i][safe] = d_value * diff[safe] / (norms[safe, None] * t * n)
+    d_preds[best[hit], agents[hit]] = (
+        d_value * (preds[best, agents] - gt)[hit] / (err[hit] * n)[:, None, None])
     return d_preds
 
 
-def variety_loss(gt, preds, mode="concat"):
+def variety_loss(gt, preds):
     """Mean over agents of the minimum-over-samples trajectory error."""
-    value, _ = variety_forward(gt, preds, mode)
+    value, _ = variety_forward(gt, preds)
     return value
 
 

@@ -6,8 +6,9 @@ pooling; the observed displacements, summed over agents and flattened over
 time, are linearly embedded to the same width and added element-wise. One
 fully-connected layer with sigmoid activation emits 2*z_dim raw outputs that
 split into mu and sigma, so sigma lands in (0, 1) and needs no extra guard.
-A softplus sigma transform (applied to the pre-sigmoid output) is available
-behind sigma_transform="softplus".
+The encoder reads its widths, kernels and strides straight from the
+ModelConfig (map_size, map_channels, conv_channels, conv_kernels,
+conv_strides, z_dim, obs_len, sigma_bias).
 
 Map file format (text): a header line ``H W C`` followed by H*W*C
 whitespace-separated floats in row-major, channel-fastest order.
@@ -18,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .numkit import check_finite, relu, sigmoid, softplus, sample_gaussian
+from .numkit import check_finite, relu, sigmoid, sample_gaussian
 
 __all__ = [
     "SemanticMap",
-    "SceneEncoderConfig",
     "SceneEncoderParams",
     "encode_scene",
     "encode_scene_backward",
@@ -68,47 +69,31 @@ def load_map(path, scene_id=""):
     return SemanticMap(vals.reshape(h, w, c), scene_id=scene_id)
 
 
-@dataclass
-class SceneEncoderConfig:
-    map_size: int = 64
-    in_channels: int = 2
-    conv_channels: tuple = (8, 16)
-    kernels: tuple = (10, 10, 1)
-    strides: tuple = (6, 4, 1)
-    z_dim: int = 16
-    obs_len: int = 8
-    sigma_transform: str = "sigmoid"
-    sigma_bias: float = 0.0  # init of the sigma-half FC bias; negative starts near-deterministic
-
-    def channel_chain(self):
-        return (self.in_channels, *self.conv_channels, self.z_dim)
-
-    def spatial_sizes(self):
-        """Spatial side length after each conv layer; validates the chain fits."""
-        size = self.map_size
-        sizes = []
-        for k, s in zip(self.kernels, self.strides):
-            if size < k:
-                raise ValueError(
-                    f"map size {self.map_size} too small for kernels {self.kernels} / strides {self.strides}"
-                )
-            size = (size - k) // s + 1
-            sizes.append(size)
-        return sizes
+def _spatial_sizes(cfg):
+    """Spatial side length after each conv layer; validates the chain fits."""
+    size = cfg.map_size
+    sizes = []
+    for k, s in zip(cfg.conv_kernels, cfg.conv_strides):
+        if size < k:
+            raise ValueError(f"map size {cfg.map_size} too small for kernels "
+                             f"{cfg.conv_kernels} / strides {cfg.conv_strides}")
+        size = (size - k) // s + 1
+        sizes.append(size)
+    return sizes
 
 
 class SceneEncoderParams:
     """Conv kernels, motion embedding and the latent FC head."""
 
-    def __init__(self, store, rng, cfg: SceneEncoderConfig, prefix="scene"):
-        self.cfg = cfg
-        cfg.spatial_sizes()  # fail fast on a bad conv chain
-        chain = cfg.channel_chain()
+    def __init__(self, store, rng, cfg, prefix="scene"):
+        self.cfg = cfg  # a ModelConfig
+        _spatial_sizes(cfg)  # fail fast on a bad conv chain
+        chain = (cfg.map_channels, *cfg.conv_channels, cfg.z_dim)
         self.conv_W = []
         self.conv_b = []
         self.dconv_W = []
         self.dconv_b = []
-        for layer, (k, cin, cout) in enumerate(zip(cfg.kernels, chain[:-1], chain[1:])):
+        for layer, (k, cin, cout) in enumerate(zip(cfg.conv_kernels, chain[:-1], chain[1:])):
             bound = 1.0 / np.sqrt(k * k * cin)
             name = f"{prefix}.conv{layer}"
             self.conv_W.append(store.add(f"{name}.W", rng.uniform(-bound, bound, (k * k * cin, cout))))
@@ -131,16 +116,10 @@ class SceneEncoderParams:
 
 
 def _im2col(x, k, stride):
-    hh, ww, c = x.shape
-    oh = (hh - k) // stride + 1
-    ow = (ww - k) // stride + 1
-    cols = np.empty((oh * ow, k * k * c))
-    n = 0
-    for i in range(oh):
-        for j in range(ow):
-            cols[n] = x[i * stride:i * stride + k, j * stride:j * stride + k, :].reshape(-1)
-            n += 1
-    return cols, oh, ow
+    """(oh * ow, k * k * c) patch rows, each the row-major (k, k, c) patch."""
+    windows = sliding_window_view(x, (k, k), axis=(0, 1))[::stride, ::stride]
+    oh, ow = windows.shape[:2]
+    return windows.transpose(0, 1, 3, 4, 2).reshape(oh * ow, -1), oh, ow
 
 
 def _col2im(dcols, shape, k, stride, oh, ow):
@@ -154,15 +133,14 @@ def _col2im(dcols, shape, k, stride, oh, ow):
 
 
 class SceneCache:
-    __slots__ = ("params", "layers", "gap_div", "motion", "fused", "raw", "act", "used")
+    __slots__ = ("params", "layers", "gap_div", "motion", "fused", "act", "used")
 
-    def __init__(self, params, layers, gap_div, motion, fused, raw, act):
+    def __init__(self, params, layers, gap_div, motion, fused, act):
         self.params = params
         self.layers = layers  # per conv layer: (input shape, cols, pre-activation, oh, ow, relu)
         self.gap_div = gap_div
         self.motion = motion
         self.fused = fused
-        self.raw = raw
         self.act = act
         self.used = False
 
@@ -176,20 +154,20 @@ def encode_scene(smap, observed, params):
     """
     cfg = params.cfg
     grid = smap.grid
-    if grid.shape != (cfg.map_size, cfg.map_size, cfg.in_channels):
+    if grid.shape != (cfg.map_size, cfg.map_size, cfg.map_channels):
         raise ValueError(
             f"map grid {grid.shape} does not match configured "
-            f"({cfg.map_size}, {cfg.map_size}, {cfg.in_channels})"
+            f"({cfg.map_size}, {cfg.map_size}, {cfg.map_channels})"
         )
     observed = np.asarray(observed, dtype=np.float64)
     if observed.ndim != 3 or observed.shape[1:] != (cfg.obs_len, 2):
         raise ValueError(f"observed motion must be (n, {cfg.obs_len}, 2), got {observed.shape}")
 
     x = grid
-    n_layers = len(cfg.kernels)
+    n_layers = len(cfg.conv_kernels)
     layers = []
     for layer in range(n_layers):
-        k, s = cfg.kernels[layer], cfg.strides[layer]
+        k, s = cfg.conv_kernels[layer], cfg.conv_strides[layer]
         cols, oh, ow = _im2col(x, k, s)
         pre = (cols @ params.conv_W[layer] + params.conv_b[layer]).reshape(oh, ow, -1)
         use_relu = layer < n_layers - 1
@@ -208,16 +186,8 @@ def encode_scene(smap, observed, params):
     fused = conv_feat + motion_feat
     raw = params.W_fc @ fused + params.b_fc
     act = sigmoid(raw)
-    z = cfg.z_dim
-    mu = act[:z]
-    if cfg.sigma_transform == "sigmoid":
-        sigma = act[z:]
-    elif cfg.sigma_transform == "softplus":
-        sigma = softplus(raw[z:])
-    else:
-        raise ValueError(f"unknown sigma transform: {cfg.sigma_transform}")
-    cache = SceneCache(params, layers, gap_div, motion, fused, raw, act)
-    return mu, sigma, cache
+    cache = SceneCache(params, layers, gap_div, motion, fused, act)
+    return act[:cfg.z_dim], act[cfg.z_dim:], cache
 
 
 def encode_scene_backward(cache, d_mu, d_sigma, params):
@@ -233,11 +203,8 @@ def encode_scene_backward(cache, d_mu, d_sigma, params):
     d_raw = np.zeros(2 * z)
     mu_act = cache.act[:z]
     d_raw[:z] = d_mu * mu_act * (1.0 - mu_act)
-    if cfg.sigma_transform == "sigmoid":
-        s_act = cache.act[z:]
-        d_raw[z:] = d_sigma * s_act * (1.0 - s_act)
-    else:
-        d_raw[z:] = d_sigma * sigmoid(cache.raw[z:])
+    s_act = cache.act[z:]
+    d_raw[z:] = d_sigma * s_act * (1.0 - s_act)
 
     params.dW_fc += np.outer(d_raw, cache.fused)
     params.db_fc += d_raw
@@ -257,7 +224,7 @@ def encode_scene_backward(cache, d_mu, d_sigma, params):
         params.dconv_W[layer] += cols.T @ d_pre
         params.dconv_b[layer] += d_pre.sum(axis=0)
         if layer > 0:
-            k, s = cfg.kernels[layer], cfg.strides[layer]
+            k, s = cfg.conv_kernels[layer], cfg.conv_strides[layer]
             dx = _col2im(d_pre @ params.conv_W[layer].T, in_shape, k, s, oh, ow)
             d_spatial = dx.reshape(in_shape[0] * in_shape[1], in_shape[2])
     return None

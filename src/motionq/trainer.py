@@ -45,8 +45,15 @@ LEGACY_TENSOR_NAMES = {f"decoder.{kind}_i": f"decoder.{kind}_g" for kind in ("W"
 CHOICES = {
     "precision": ("32", "64"),
     "relation_mode": ("signed", "softmax"),
-    "sigma_transform": ("sigmoid", "softplus"),
-    "variety_mode": ("concat", "per_frame"),
+}
+# keys that configs stored in older checkpoints carry but TrainConfig no
+# longer has: key -> the one stored value that still loads, being what the
+# code now always does (None: any value, as the key never changed a number)
+RETIRED_KEYS = {
+    "dataset": None,
+    "eval_samples": None,
+    "sigma_transform": "sigmoid",
+    "variety_mode": "concat",
 }
 
 
@@ -62,14 +69,12 @@ class TrainConfig:
     use_latent: bool = True
     map_size: int = 64
     map_channels: int = 2
-    sigma_transform: str = "sigmoid"
     sigma_bias: float = 0.0
     relation_mode: str = "signed"
     lam: float = 0.1
     margin: float = 0.5
     m: int = 20
     pairs_per_batch: int = 64
-    variety_mode: str = "concat"
     batch_size: int = 64
     lr: float = 0.001
     beta1: float = 0.9
@@ -77,14 +82,13 @@ class TrainConfig:
     adam_eps: float = 1e-8
     epochs: int = 200
     seed: int = 0
-    eval_samples: int = 20
     eval_seed: int = 1234
     precision: str = "64"
     checkpoint_every: int = 1
 
     def __post_init__(self):
         for name in ("h", "z_dim", "q", "dec_h", "obs_len", "pred_len", "m",
-                     "batch_size", "epochs", "eval_samples"):
+                     "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.lr <= 0:
@@ -100,15 +104,12 @@ class TrainConfig:
             obs_len=self.obs_len, pred_len=self.pred_len,
             use_social=self.use_social, use_latent=self.use_latent,
             map_size=self.map_size, map_channels=self.map_channels,
-            sigma_transform=self.sigma_transform, sigma_bias=self.sigma_bias,
-            relation_mode=self.relation_mode,
+            sigma_bias=self.sigma_bias, relation_mode=self.relation_mode,
         )
 
     def loss_config(self):
-        return LossConfig(
-            lam=self.lam, margin=self.margin, m=self.m,
-            pairs_per_batch=self.pairs_per_batch, variety_mode=self.variety_mode,
-        )
+        return LossConfig(lam=self.lam, margin=self.margin, m=self.m,
+                          pairs_per_batch=self.pairs_per_batch)
 
     def dtype(self):
         return np.float32 if self.precision == "32" else np.float64
@@ -367,9 +368,11 @@ def load_checkpoint(path):
 
     Reads checkpoint-v2 files and the older text checkpoint-v1 files. The
     stored hash is checked against the stored config text, and a malformed
-    or truncated file raises ValueError naming `path`. v1 files written
-    before the `dataset` key and the decoder's `_i` tensor names were retired
-    still load: the `dataset` line is dropped and the tensors are renamed.
+    or truncated file raises ValueError naming `path`. Files written before
+    a config key was retired still load: each RETIRED_KEYS line is dropped
+    if its value is one the code still behaves as, and raises ValueError
+    naming `path` and the key otherwise. The decoder's `_i` tensor names of
+    older v1 files are renamed.
     """
     return _read_checkpoint(path)[:4]
 
@@ -399,9 +402,7 @@ def _read_checkpoint(path):
             cfg_bytes = b"".join(fh.readline() for _ in range(n_lines))
             if hashlib.sha256(cfg_bytes).hexdigest() != digest:
                 raise ValueError("config hash mismatch")
-            cfg = TrainConfig.from_text("".join(
-                line for line in cfg_bytes.decode().splitlines(keepends=True)
-                if line.partition("=")[0].strip() != "dataset"))
+            cfg = TrainConfig.from_text(_drop_retired(cfg_bytes.decode()))
             read = read_tensors if magic == CHECKPOINT_MAGIC else _read_v1_tensors
             blocks = [read(fh) for _ in range(3)]  # parameters, Adam m, Adam v
             if fh.read(1):
@@ -421,6 +422,19 @@ def _read_checkpoint(path):
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return cfg, model, state, epoch, streams
+
+
+def _drop_retired(cfg_text):
+    """A stored config text without its RETIRED_KEYS lines."""
+    kept = []
+    for line in cfg_text.splitlines(keepends=True):
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in RETIRED_KEYS:
+            kept.append(line)
+        elif RETIRED_KEYS[key] not in (None, value):
+            raise ValueError(f"config key {key!r} is retired and loads only as "
+                             f"{RETIRED_KEYS[key]!r}, got {value!r}")
+    return "".join(kept)
 
 
 def _header_field(fh, key):

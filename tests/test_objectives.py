@@ -132,31 +132,40 @@ def test_variety_misalignment_rejected():
         variety_loss(gt, preds)
 
 
-def test_variety_per_frame_mode():
+def test_variety_concat_mode():
+    # the error is the L2 norm of the whole trajectory difference: 5, not the
+    # per-frame mean 2.5
     gt = np.zeros((1, 2, 2))
     preds = np.array([[[[3.0, 4.0], [0.0, 0.0]]]])
-    # per-frame mode: mean(5, 0) = 2.5; concat mode: 5
-    assert variety_loss(gt, preds, mode="per_frame") == 2.5
-    assert variety_loss(gt, preds, mode="concat") == 5.0
+    assert variety_loss(gt, preds) == 5.0
 
 
-def test_variety_per_frame_backward_grad_check():
+def test_variety_backward_grad_check():
     # 3 samples of 2 agents over 4 frames, swept entry by entry over the
-    # predictions; each agent's best sample gets the gradient
+    # predictions; agent 0's best sample is 2 and agent 1's is 0, and only
+    # those rows get a gradient
     rng = Rng(5)
     gt = rng.normal((2, 4, 2))
     store = ParamStore()
     preds = store.add("preds", rng.normal((3, 2, 4, 2)))
+    preds[2, 0] = gt[0] + 0.1 * rng.normal((4, 2))
+    preds[0, 1] = gt[1] + 0.1 * rng.normal((4, 2))
+    _, cache = variety_forward(gt, preds)
+    assert cache[3].tolist() == [2, 0]
 
     def f(s):
-        value, cache = variety_forward(gt, preds, mode="per_frame")
+        value, cache = variety_forward(gt, preds)
         store.grad("preds")[...] += variety_backward(cache, 1.0)
         return value
 
     def f_value(s):
-        return variety_loss(gt, preds, mode="per_frame")
+        return variety_loss(gt, preds)
 
     assert grad_check(f, store, eps=1e-5, f_value=f_value) < 1e-4
+    _, cache = variety_forward(gt, preds)
+    grad = variety_backward(cache, 1.0)
+    assert grad[2, 0].any() and grad[0, 1].any()
+    assert not grad[1].any() and not grad[0, 0].any() and not grad[2, 1].any()
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from motionq import gradchecks
+from motionq.model import ModelConfig
 from motionq.numkit import ParamStore, Rng
 from motionq.scene import (
-    SceneEncoderConfig,
     SceneEncoderParams,
     SemanticMap,
     _im2col,
@@ -36,8 +36,8 @@ def conv_oracle(x, w, b, k, stride):
 def micro_params(seed=0, map_size=28):
     rng = Rng(seed)
     store = ParamStore()
-    cfg = SceneEncoderConfig(map_size=map_size, in_channels=2, conv_channels=(3, 4),
-                             kernels=(10, 10, 1), strides=(2, 1, 1), z_dim=3, obs_len=4)
+    cfg = ModelConfig(map_size=map_size, map_channels=2, conv_channels=(3, 4),
+                      conv_kernels=(10, 10, 1), conv_strides=(2, 1, 1), z_dim=3, obs_len=4)
     params = SceneEncoderParams(store, rng, cfg)
     return store, params, cfg, rng
 
@@ -70,8 +70,7 @@ def test_output_widths_default_config():
     # stock configuration: 64x64 map, latent width 16
     rng = Rng(1)
     store = ParamStore()
-    cfg = SceneEncoderConfig()
-    params = SceneEncoderParams(store, rng, cfg)
+    params = SceneEncoderParams(store, rng, ModelConfig())
     smap = SemanticMap(rng.normal((64, 64, 2)))
     observed = rng.normal((2, 8, 2))
     mu, sigma, _ = encode_scene(smap, observed, params)
@@ -98,15 +97,6 @@ def test_sigma_positive_for_extreme_inputs():
     assert np.all(sigma > 0)
 
 
-def test_softplus_sigma_transform():
-    store, params, cfg, rng = micro_params(4)
-    cfg.sigma_transform = "softplus"
-    smap = SemanticMap(rng.normal((28, 28, 2)))
-    observed = rng.normal((2, 4, 2))
-    _, sigma, _ = encode_scene(smap, observed, params)
-    assert np.all(sigma > 0)
-
-
 def test_map_shape_validation():
     store, params, cfg, rng = micro_params(5)
     with pytest.raises(ValueError):
@@ -116,16 +106,12 @@ def test_map_shape_validation():
 
 
 def test_conv_chain_validation():
-    with pytest.raises(ValueError):
-        SceneEncoderConfig(map_size=16).spatial_sizes()  # kernel 10 twice cannot fit
+    with pytest.raises(ValueError, match="map size 16 too small"):
+        SceneEncoderParams(ParamStore(), Rng(0), ModelConfig(map_size=16))  # kernel 10 twice cannot fit
 
 
 def test_grad_check_scene_encoder():
     assert gradchecks.check_scene() < 1e-4
-
-
-def test_grad_check_scene_encoder_softplus():
-    assert gradchecks.check_scene(sigma_transform="softplus") < 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from motionq.trainer import (
 def micro_train_cfg(**overrides):
     base = dict(h=8, z_dim=4, q=2, dec_h=8, obs_len=8, pred_len=12,
                 m=2, pairs_per_batch=8, batch_size=2, lr=1e-3, epochs=2,
-                seed=0, eval_samples=3)
+                seed=0)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -111,8 +111,7 @@ def test_config_rejects_bad_number_naming_line_and_key():
         TrainConfig.from_text("m = 2.5\n")
 
 
-@pytest.mark.parametrize("key,bad", [("precision", "16"), ("relation_mode", "cosine"),
-                                     ("sigma_transform", "exp"), ("variety_mode", "mean")])
+@pytest.mark.parametrize("key,bad", [("precision", "16"), ("relation_mode", "cosine")])
 def test_config_rejects_values_outside_their_sets(key, bad):
     with pytest.raises(ValueError, match=key):
         TrainConfig.from_text(f"{key} = {bad}\n")
@@ -269,35 +268,81 @@ def test_v1_checkpoint_loads_bitwise(tmp_path):
     assert_same_training_state(loaded.store, state, ref.store, ref_state)
 
 
+def with_retired_keys(cfg, sigma_transform="sigmoid", variety_mode="concat"):
+    """cfg's config text as older code wrote it: each retired key on the line
+    where TrainConfig declared it, and a `dataset` line last."""
+    text = cfg.to_text()
+    for before, line in (("sigma_bias", f"sigma_transform = {sigma_transform}"),
+                         ("batch_size", f"variety_mode = {variety_mode}"),
+                         ("eval_seed", "eval_samples = 3")):
+        assert f"\n{before} = " in text
+        text = text.replace(f"\n{before} = ", f"\n{line}\n{before} = ")
+    return text + "dataset = zara1\n"
+
+
+def with_config_text(data, cfg, legacy_cfg):
+    """Checkpoint bytes written with cfg, their header rewritten to carry
+    legacy_cfg, with its line count and hash."""
+    cfg_text = cfg.to_text().encode()
+    end = data.index(cfg_text) + len(cfg_text)  # the header ends with the config
+    head = (data[:end]
+            .replace(f"hash {cfg.digest()}\n".encode(),
+                     f"hash {hashlib.sha256(legacy_cfg.encode()).hexdigest()}\n".encode())
+            .replace(f"config-lines {len(cfg_text.splitlines())}\n".encode(),
+                     f"config-lines {len(legacy_cfg.splitlines())}\n".encode())
+            .replace(cfg_text, legacy_cfg.encode()))
+    return head + data[end:]
+
+
 def test_legacy_checkpoint_loads_renamed(tmp_path):
-    # a v1 file as written before `dataset` and the decoder's `_i` tensor
-    # names were retired: the config carries a dataset line, hashed with it
+    # a v1 file as written before the retired config keys and the decoder's
+    # `_i` tensor names were dropped: its config carries every retired key,
+    # hashed with them
     cfg = micro_train_cfg(epochs=2)
     train(cfg, micro_scenes(count=2), tmp_path)
     _, ref, ref_state, ref_epoch = load_checkpoint(tmp_path / "final.ckpt")
     path = tmp_path / "v1.ckpt"
     write_v1_checkpoint(path, ref.store, ref_state, cfg, ref_epoch)
     text = path.read_text()
-    cfg_text = cfg.to_text()
-    legacy_cfg = cfg_text + "dataset = zara1\n"
-    n_lines = len(cfg_text.splitlines())
-    text = (text.replace(f"hash {cfg.digest()}\n",
-                         f"hash {hashlib.sha256(legacy_cfg.encode()).hexdigest()}\n")
-                .replace(f"config-lines {n_lines}\n", f"config-lines {n_lines + 1}\n")
-                .replace(cfg_text, legacy_cfg))
     for kind in ("W", "U", "b"):
         assert text.count(f"tensor decoder.{kind}_g ") == 3  # values and both moments
         text = text.replace(f"tensor decoder.{kind}_g ", f"tensor decoder.{kind}_i ")
     legacy = tmp_path / "legacy.ckpt"
-    legacy.write_text(text)
+    legacy.write_bytes(with_config_text(text.encode(), cfg, with_retired_keys(cfg)))
     loaded_cfg, loaded, state, epoch = load_checkpoint(legacy)
     assert loaded_cfg == cfg and epoch == ref_epoch and state.t == ref_state.t
     for name in ref.store.names():
         assert np.array_equal(loaded.store.value(name), ref.store.value(name)), name
         assert np.array_equal(state.m[name], ref_state.m[name]), name
         assert np.array_equal(state.v[name], ref_state.v[name]), name
-    with pytest.raises(ValueError, match="unknown key 'dataset'"):
-        TrainConfig.from_text("dataset = zara1\n")
+
+    # a retired switch set to the behaviour that was removed is refused by name
+    softplus = tmp_path / "softplus.ckpt"
+    softplus.write_bytes(with_config_text(text.encode(), cfg,
+                                          with_retired_keys(cfg, sigma_transform="softplus")))
+    with pytest.raises(ValueError, match=re.escape(f"{softplus}: ") + ".*'sigma_transform'"):
+        load_checkpoint(softplus)
+    for line in ("dataset = zara1", "variety_mode = concat", "sigma_transform = sigmoid",
+                 "eval_samples = 20"):
+        with pytest.raises(ValueError, match=f"unknown key '{line.split()[0]}'"):
+            TrainConfig.from_text(line + "\n")
+
+
+def test_v2_checkpoint_with_retired_keys_resumes_bitwise(tmp_path):
+    scenes = micro_scenes(count=4)
+    _, full_curve = train(micro_train_cfg(epochs=2), scenes, tmp_path / "full")
+    cfg = micro_train_cfg(epochs=1)
+    _, head = train(cfg, scenes, tmp_path / "head")
+    data = (tmp_path / "head" / "last.ckpt").read_bytes()
+    legacy = tmp_path / "legacy.ckpt"
+    legacy.write_bytes(with_config_text(data, cfg, with_retired_keys(cfg)))
+    _, tail = train(micro_train_cfg(epochs=2), scenes, tmp_path / "tail", resume=legacy)
+    assert head + tail == full_curve
+    assert ((tmp_path / "tail" / "final.ckpt").read_bytes()
+            == (tmp_path / "full" / "final.ckpt").read_bytes())
+    legacy.write_bytes(with_config_text(data, cfg, with_retired_keys(cfg, variety_mode="per_frame")))
+    with pytest.raises(ValueError, match=re.escape(f"{legacy}: ") + ".*'variety_mode'"):
+        train(micro_train_cfg(epochs=2), scenes, tmp_path / "tail", resume=legacy)
 
 
 def test_checkpoint_preserves_adam_state(tmp_path):
