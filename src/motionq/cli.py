@@ -48,7 +48,8 @@ def _cmd_eval(args):
     cfg, model, _, _ = load_checkpoint(args.ckpt)
     scenes = _load_scenes(args.data, cfg)
     horizons = tuple(int(h) for h in args.horizons.split(",")) if args.horizons else ()
-    report = evaluate(model, scenes, args.samples, seed=args.seed,
+    seed = cfg.eval_seed if args.seed is None else args.seed
+    report = evaluate(model, scenes, args.samples, seed=seed,
                       nonlinear_only=args.nonlinear_only, horizons=horizons)
     text = format_metrics_report(report)
     if args.out:
@@ -120,11 +121,10 @@ def _cmd_cellstates(args):
         smap=smap, scene_prefix=os.path.basename(args.scene) + ":")
     if not windows:
         sys.exit("no complete windows in the scene file")
-    rng = Rng(args.seed)
     with open(args.out, "w") as fh:
         fh.write("# scene_id phase agent_id frame_id c0 c1 ...\n")
         for scene in windows:
-            for phase, agent, frame, vec in model.cell_state_trace(scene, rng):
+            for phase, agent, frame, vec in model.cell_state_trace(scene):
                 vals = " ".join(repr(float(v)) for v in vec)
                 fh.write(f"{scene.scene_id} {phase} {agent} {frame} {vals}\n")
     print(f"wrote cell states for {len(windows)} windows to {args.out}")
@@ -149,7 +149,7 @@ def main(argv=None):
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=1234)
+    p.add_argument("--seed", type=int, help="sampling seed (default: the checkpoint's eval_seed)")
     p.add_argument("--nonlinear-only", action="store_true",
                    help="restrict to agents whose trajectory fails a line fit")
     p.add_argument("--horizons",
@@ -188,7 +188,6 @@ def main(argv=None):
     p.add_argument("--scene", required=True)
     p.add_argument("--map")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--frame-step", type=int, default=1)
     p.set_defaults(func=_cmd_cellstates)
 

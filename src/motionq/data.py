@@ -390,6 +390,9 @@ def load_manifest(path, cfg, map_size=64, map_channels=2):
             parts = body.split()
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'traj_path map_path frame_step'")
+            if not parts[2].isdigit() or int(parts[2]) < 1:
+                raise ValueError(f"{path}:{lineno}: frame_step must be an integer >= 1, "
+                                 f"got {parts[2]!r}")
             traj_path = os.path.join(base, parts[0])
             records = load_trajectories(traj_path)
             if parts[1] == "-":

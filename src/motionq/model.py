@@ -266,7 +266,7 @@ class MotionModel:
             if scene.smap is None:
                 raise ValueError("model is latent-conditioned but the scene has no semantic map")
             mu, sigma, _ = encode_scene(scene.smap, obs_disp, self.scene_enc)
-            zs = np.stack([sample_latent((mu, sigma), rng) for _ in range(m)])
+            zs = sample_latent((np.tile(mu, (m, 1)), np.tile(sigma, (m, 1))), rng)
         else:
             zs = np.zeros((m, 0))
         positions, _ = self.decode(state.h_obs, zs, steps, last_pos, last_disp)
@@ -295,13 +295,12 @@ class MotionModel:
         state = self.observe(obs_disp, want_tape=with_grad)
 
         scene_cache = None
-        eps_draws = None
         if self.scene_enc is not None:
             if scene.smap is None:
                 raise ValueError("model is latent-conditioned but the scene has no semantic map")
             mu, sigma, scene_cache = encode_scene(scene.smap, obs_disp, self.scene_enc)
-            eps_draws = [rng.normal(self.cfg.z_dim) for _ in range(loss_cfg.m)]
-            zs = np.stack([mu + sigma * e for e in eps_draws])
+            eps = rng.normal((loss_cfg.m, self.cfg.z_dim))  # the stream of m draws of z_dim
+            zs = mu + sigma * eps
         else:
             zs = np.zeros((1, 0))  # all samples coincide without a latent
 
@@ -323,9 +322,7 @@ class MotionModel:
 
         if self.scene_enc is not None:
             d_mu = d_zs.sum(axis=0)
-            d_sigma = np.zeros_like(d_mu)
-            for k, e in enumerate(eps_draws):
-                d_sigma += d_zs[k] * e
+            d_sigma = np.cumsum(d_zs * eps, axis=0)[-1]  # summed in draw order
             encode_scene_backward(scene_cache, d_mu, d_sigma, self.scene_enc)
 
         self._observe_backward(state, d_h_obs, d_features)
@@ -333,7 +330,7 @@ class MotionModel:
 
     # ------------------------------------------------------------------ exports
 
-    def cell_state_trace(self, scene, rng, steps=None):
+    def cell_state_trace(self, scene, steps=None):
         """Raw cell values per frame for offline activation analysis.
 
         Returns rows (phase, agent_id, frame_id, vector): encoder cells for

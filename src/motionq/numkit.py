@@ -68,30 +68,38 @@ def cosine_sim(a, b, eps=COSINE_EPS):
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"cosine_sim expects equal-length vectors, got {a.shape} and {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < eps or nb < eps:
-        return 0.0
-    return float(min(1.0, max(-1.0, np.dot(a, b) / (na * nb))))
+    c = cosine_sim_grad(a[None], b[None], eps)[0][0]
+    return float(min(1.0, max(-1.0, c)))
+
+
+def _rowdot(a, b):
+    """Dot product of each row pair of two (k, h) arrays: a stacked matrix
+    product runs the same BLAS dot per row as np.dot (and np.linalg.norm)
+    on one vector, so each row is bitwise what it would be alone."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def cosine_sim_grad(a, b, eps=COSINE_EPS):
-    """Cosine similarity plus its gradients w.r.t. both vectors.
+    """Row-wise cosine similarity plus its gradients w.r.t. both rows.
 
-    Returns (cos, d_cos/d_a, d_cos/d_b); the near-zero-norm guard returns zero
-    gradients to match the constant-0 branch of cosine_sim.
+    a and b are (k, h); returns (cos, d_cos/d_a, d_cos/d_b) of shapes (k,),
+    (k, h) and (k, h), unclamped. A row pair with a norm below eps has cos 0
+    and zero gradients, the constant-0 branch of cosine_sim.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"cosine_sim expects equal-length vectors, got {a.shape} and {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < eps or nb < eps:
-        return 0.0, np.zeros_like(a), np.zeros_like(b)
-    c = float(np.dot(a, b) / (na * nb))
-    da = b / (na * nb) - c * a / (na * na)
-    db = a / (na * nb) - c * b / (nb * nb)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValueError(f"cosine_sim_grad expects equal-shape (k, h) rows, "
+                         f"got {a.shape} and {b.shape}")
+    na = np.sqrt(_rowdot(a, a))
+    nb = np.sqrt(_rowdot(b, b))
+    dead = (na < eps) | (nb < eps)
+    na[dead] = nb[dead] = 1.0  # placeholders: dead rows are zeroed below
+    c = _rowdot(a, b) / (na * nb)
+    c[dead] = 0.0
+    da = b / (na * nb)[:, None] - c[:, None] * a / (na * na)[:, None]
+    db = a / (na * nb)[:, None] - c[:, None] * b / (nb * nb)[:, None]
+    da[dead] = db[dead] = 0.0
     return c, da, db
 
 
@@ -207,20 +215,6 @@ class ParamStore:
             if arr.shape != dst.shape:
                 raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {dst.shape}")
             dst[...] = arr
-
-    def save(self, path):
-        with open(path, "wb") as fh:
-            write_tensors(fh, self._values)
-
-    def load(self, path):
-        with open(path, "rb") as fh:
-            try:
-                tensors = read_tensors(fh)
-                if fh.read(1):
-                    raise ValueError("trailing bytes after the tensor block")
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
-        self.load_values(tensors)
 
 
 # dtype name in a block header -> the little-endian dtype of its payload

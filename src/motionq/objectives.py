@@ -1,13 +1,17 @@
-"""Training losses and evaluation metrics.
+"""Training losses and evaluation metrics, as array operations.
 
 Losses: a margin-based cosine coherence regularizer over same-agent hidden
 features (pairs closer than the queue length are pulled together, pairs
-further apart are pushed below a margin) and Social GAN's best-of-m variety
-loss, the L2 error of each agent's whole predicted trajectory against its
-ground truth, minimised over the m samples. Metrics: ADE, FDE and the temporal correlation
+further apart are pushed below a margin), every sampled pair scored by one
+row-wise cosine, and Social GAN's best-of-m variety loss, the L2 error of
+each agent's whole predicted trajectory against its ground truth, minimised
+over the m samples. Metrics: ADE, FDE and the temporal correlation
 coefficient (mean Pearson correlation per axis between predicted and true
-coordinate sequences), plus the non-linear trajectory filter used for
-hard-subset reports.
+coordinate sequences), computed for all agents at once, one
+MetricsReport aggregation for one scene or many, plus the non-linear
+trajectory filter used for hard-subset reports. Every sum adds in the
+order a per-pair or per-agent loop would, so each number is bitwise that
+loop's (the tests keep such loops as oracles).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "tcc",
     "best_of_m_metrics",
     "per_agent_best_metrics",
+    "aggregate_metrics",
     "nonlinear_filter",
     "format_metrics_report",
 ]
@@ -47,12 +52,14 @@ class LossConfig:
     pairs_per_batch: int = 64
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError("lam must be >= 0")
         if not 0.0 <= self.margin <= 1.0:
             raise ValueError("margin must lie in [0, 1]")
         if self.m < 1:
             raise ValueError("m must be >= 1")
+        if self.pairs_per_batch < 1:
+            raise ValueError("pairs_per_batch must be >= 1")
 
 
 @dataclass
@@ -73,45 +80,37 @@ def coherence_forward(features, q, cfg, rng):
 
     features is (n_agents, n_frames, h); every pair is two frames of the same
     agent. Pairs within the queue length contribute 1 - cos, pairs at or
-    beyond it contribute max(0, cos - margin).
+    beyond it contribute max(0, cos - margin). All pairs are drawn at once as
+    (agent, frame, other frame) triples, the stream one scalar draw per value
+    would consume, and the value sums the contributions in pair order.
     """
     features = np.asarray(features, dtype=np.float64)
     n, t, _ = features.shape
     if t < 2:
         warnings.warn("coherence loss needs >= 2 frames of features; returning 0")
-        return 0.0, []
-    pairs = []
-    total = 0.0
-    for _ in range(cfg.pairs_per_batch):
-        i = int(rng.integers(0, n))
-        t1 = int(rng.integers(0, t))
-        t2 = int(rng.integers(0, t - 1))
-        if t2 >= t1:
-            t2 += 1  # uniform over ordered distinct frame pairs
-        near = abs(t1 - t2) < q
-        c, da, db = cosine_sim_grad(features[i, t1], features[i, t2])
-        if near:
-            total += 1.0 - c
-            scale = -1.0
-        else:
-            hinge = c - cfg.margin
-            total += max(0.0, hinge)
-            scale = 1.0 if hinge > 0 else 0.0
-        pairs.append((i, t1, t2, scale, da, db))
-    value = total / cfg.pairs_per_batch
-    return value, pairs
+        return 0.0, None
+    agent, t1, t2 = rng.integers(0, np.tile([n, t, t - 1], cfg.pairs_per_batch)).reshape(-1, 3).T
+    t2 = t2 + (t2 >= t1)  # uniform over ordered distinct frame pairs
+    c, da, db = cosine_sim_grad(features[agent, t1], features[agent, t2])
+    near = np.abs(t1 - t2) < q
+    hinge = c - cfg.margin
+    terms = np.where(near, 1.0 - c, np.where(hinge > 0, hinge, 0.0))
+    scale = np.where(near, -1.0, np.where(hinge > 0, 1.0, 0.0))
+    value = float(np.cumsum(terms)[-1] / cfg.pairs_per_batch)
+    return value, (agent, t1, t2, scale, da, db)
 
 
 def coherence_backward(cache, d_value, features_grad):
-    """Accumulate d(value)/d(features) into features_grad, shape (n, t, h)."""
-    if not cache:
+    """Accumulate d(value)/d(features) into features_grad, shape (n, t, h),
+    pair by pair in sampling order."""
+    if cache is None:
         return
-    scale = d_value / len(cache)
-    for i, t1, t2, s, da, db in cache:
-        if s == 0.0:
-            continue
-        features_grad[i, t1] += scale * s * da
-        features_grad[i, t2] += scale * s * db
+    agent, t1, t2, scale, da, db = cache
+    live = scale != 0.0
+    coef = (d_value / scale.size * scale[live])[:, None]
+    rows = np.stack([t1[live], t2[live]], axis=1).reshape(-1)
+    grads = np.stack([coef * da[live], coef * db[live]], axis=1).reshape(-1, da.shape[1])
+    np.add.at(features_grad, (np.repeat(agent[live], 2), rows), grads)
 
 
 def coherence_loss(features, q, cfg, rng):
@@ -176,32 +175,43 @@ def _as_batch(traj):
     return traj
 
 
+def _as_pair(gt, pred):
+    gt, pred = _as_batch(gt), _as_batch(pred)
+    if gt.shape != pred.shape:
+        raise ValueError(f"shape mismatch: {gt.shape} vs {pred.shape}")
+    return gt, pred
+
+
 def ade_fde(gt, pred):
     """Average and final L2 distance between prediction and ground truth.
 
     ADE averages the per-frame distance over all agents and frames; FDE
     averages the last-frame distance over agents.
     """
-    gt = _as_batch(gt)
-    pred = _as_batch(pred)
-    if gt.shape != pred.shape:
-        raise ValueError(f"shape mismatch: {gt.shape} vs {pred.shape}")
+    gt, pred = _as_pair(gt, pred)
     if gt.shape[1] == 0:
         raise ValueError("empty trajectories")
     dist = np.linalg.norm(pred - gt, axis=2)
     return float(dist.mean()), float(dist[:, -1].mean())
 
 
+def _by_axis(traj):
+    """(n, t, 2) trajectories as a contiguous (n, 2, t) array: reductions over
+    time then run along the last axis, summing each sequence as they would
+    sum it alone."""
+    return np.ascontiguousarray(traj.transpose(0, 2, 1))
+
+
 def _pearson(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    da = a - a.mean()
-    db = b - b.mean()
-    va = (da * da).mean()
-    vb = (db * db).mean()
-    if va < TCC_VAR_EPS or vb < TCC_VAR_EPS:
-        return 0.0  # stationary axis: no correlation signal, contributes 0
-    return float((da * db).mean() / np.sqrt(va * vb))
+    """Pearson correlation along the last axis of two equal-shape arrays;
+    0 where either sequence is stationary (no correlation signal)."""
+    da = a - a.mean(axis=-1, keepdims=True)
+    db = b - b.mean(axis=-1, keepdims=True)
+    va = (da * da).mean(axis=-1)
+    vb = (db * db).mean(axis=-1)
+    flat = (va < TCC_VAR_EPS) | (vb < TCC_VAR_EPS)
+    r = (da * db).mean(axis=-1) / np.sqrt(np.where(flat, 1.0, va * vb))
+    return np.where(flat, 0.0, r)
 
 
 def tcc(gt, pred):
@@ -211,60 +221,80 @@ def tcc(gt, pred):
     true coordinate sequences over the prediction horizon; axis scores average
     over agents, and the final value averages the two axes.
     """
-    gt = _as_batch(gt)
-    pred = _as_batch(pred)
-    if gt.shape != pred.shape:
-        raise ValueError(f"shape mismatch: {gt.shape} vs {pred.shape}")
+    gt, pred = _as_pair(gt, pred)
     if gt.shape[1] < 2:
         raise ValueError("temporal correlation needs a horizon of >= 2 frames")
-    n = gt.shape[0]
-    tx = np.mean([_pearson(pred[i, :, 0], gt[i, :, 0]) for i in range(n)])
-    ty = np.mean([_pearson(pred[i, :, 1], gt[i, :, 1]) for i in range(n)])
-    return float(0.5 * (tx + ty))
+    r = _pearson(_by_axis(pred), _by_axis(gt))  # (n, 2)
+    return float(0.5 * (r[:, 0].mean() + r[:, 1].mean()))
 
 
 def per_agent_best_metrics(gt, preds, horizons=()):
     """Per-agent metrics of each agent's minimum-ADE sample.
 
-    gt is (n, t, 2), preds (m, n, t, 2). Returns a dict of 1-D arrays over
-    agents: ade, fde, tcc, plus optional per-horizon prefix metrics keyed by
-    frames-ahead (tcc entries are NaN below a 2-frame horizon).
+    gt is (n, t, 2) with t >= 2, preds (m, n, t, 2). Returns a dict of 1-D
+    arrays over agents: ade, fde, tcc, plus optional per-horizon prefix
+    metrics keyed by frames-ahead (tcc entries are NaN below a 2-frame
+    horizon).
     """
     gt = _as_batch(gt)
     preds = np.asarray(preds, dtype=np.float64)
     if preds.ndim != 4 or preds.shape[1:] != gt.shape:
         raise ValueError(f"prediction set {preds.shape} does not align with ground truth {gt.shape}")
     n, t = gt.shape[0], gt.shape[1]
+    if t < 2:
+        raise ValueError("temporal correlation needs a horizon of >= 2 frames")
     dist = np.linalg.norm(preds - gt[None], axis=3)  # (m, n, t)
-    per_agent_ade = dist.mean(axis=2)                # (m, n)
-    best = per_agent_ade.argmin(axis=0)              # (n,)
-    agents = np.arange(n)
-    chosen = preds[best, agents]                     # (n, t, 2)
-    chosen_dist = dist[best, agents]                 # (n, t)
+    best = dist.mean(axis=2).argmin(axis=0)          # (n,)
+    chosen_dist = dist[best, np.arange(n)]           # (n, t)
+    truth, chosen = _by_axis(gt), _by_axis(preds[best, np.arange(n)])  # (n, 2, t)
+
+    def agent_tcc(k):
+        r = _pearson(chosen[..., :k], truth[..., :k])
+        return 0.5 * (r[:, 0] + r[:, 1])
+
     out = {
         "ade": chosen_dist.mean(axis=1),
         "fde": chosen_dist[:, -1],
-        "tcc": np.array([tcc(gt[i], chosen[i]) for i in range(n)]),
+        "tcc": agent_tcc(t),
         "best": best,
     }
-    hz = {}
-    for k in horizons:
-        if not 1 <= k <= t:
-            continue
-        hz[k] = {
+    out["horizons"] = {
+        k: {
             "ade": chosen_dist[:, :k].mean(axis=1),
             "fde": chosen_dist[:, k - 1],
-            "tcc": (
-                np.array([tcc(gt[i, :k], chosen[i, :k]) for i in range(n)])
-                if k >= 2 else np.full(n, np.nan)
-            ),
+            "tcc": agent_tcc(k) if k >= 2 else np.full(n, np.nan),
         }
-    out["horizons"] = hz
+        for k in horizons if 1 <= k <= t
+    }
     return out
 
 
+def aggregate_metrics(stats):
+    """MetricsReport of a list of per_agent_best_metrics results.
+
+    Every metric averages over all agents of all entries, in order; a
+    horizon averages over the entries that reach it, and its tcc is None
+    when no agent has one.
+    """
+    if not stats:
+        raise ValueError("no agents to evaluate")
+
+    def mean(vals):
+        return float(np.concatenate(vals).mean())
+
+    per_h = {}
+    for k in dict.fromkeys(k for s in stats for k in s["horizons"]):
+        hz = [s["horizons"][k] for s in stats if k in s["horizons"]]
+        t_vals = np.concatenate([h["tcc"] for h in hz])
+        t_vals = t_vals[~np.isnan(t_vals)]
+        per_h[k] = (mean([h["ade"] for h in hz]), mean([h["fde"] for h in hz]),
+                    float(t_vals.mean()) if t_vals.size else None)
+    return MetricsReport(*(mean([s[key] for s in stats]) for key in ("ade", "fde", "tcc")),
+                         n_agents=sum(s["ade"].size for s in stats), per_horizon=per_h)
+
+
 def best_of_m_metrics(gt, preds, m=None, horizons=()):
-    """Aggregate per_agent_best_metrics into a MetricsReport.
+    """aggregate_metrics of one per_agent_best_metrics result.
 
     m, when given, restricts the selection to the first m samples.
     """
@@ -273,22 +303,7 @@ def best_of_m_metrics(gt, preds, m=None, horizons=()):
         if not 1 <= m <= preds.shape[0]:
             raise ValueError(f"m={m} outside the sample count {preds.shape[0]}")
         preds = preds[:m]
-    stats = per_agent_best_metrics(gt, preds, horizons=horizons)
-    per_h = {}
-    for k, vals in stats["horizons"].items():
-        t_vals = vals["tcc"]
-        per_h[k] = (
-            float(vals["ade"].mean()),
-            float(vals["fde"].mean()),
-            float(np.nanmean(t_vals)) if not np.all(np.isnan(t_vals)) else None,
-        )
-    return MetricsReport(
-        ade=float(stats["ade"].mean()),
-        fde=float(stats["fde"].mean()),
-        tcc=float(stats["tcc"].mean()),
-        n_agents=gt.shape[0] if np.asarray(gt).ndim == 3 else 1,
-        per_horizon=per_h,
-    )
+    return aggregate_metrics([per_agent_best_metrics(gt, preds, horizons=horizons)])
 
 
 def nonlinear_filter(traj, threshold=0.1):

@@ -58,15 +58,19 @@ def save_map(path, smap):
 
 
 def load_map(path, scene_id=""):
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: bad map header, expected 'H W C'")
-        h, w, c = (int(x) for x in header)
-        vals = np.array(fh.read().split(), dtype=np.float64)
-    if vals.size != h * w * c:
-        raise ValueError(f"{path}: expected {h * w * c} values, found {vals.size}")
-    return SemanticMap(vals.reshape(h, w, c), scene_id=scene_id)
+    """Read a file written by save_map; a malformed one raises ValueError naming path."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().split()
+            if len(header) != 3 or not all(x.isdigit() for x in header):
+                raise ValueError(f"bad map header {' '.join(header)!r}, expected 'H W C'")
+            h, w, c = (int(x) for x in header)
+            vals = np.array(fh.read().split(), dtype=np.float64)
+        if vals.size != h * w * c:
+            raise ValueError(f"expected {h * w * c} values, found {vals.size}")
+        return SemanticMap(vals.reshape(h, w, c), scene_id=scene_id)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _spatial_sizes(cfg):
@@ -149,8 +153,9 @@ def encode_scene(smap, observed, params):
     """Map + observed displacements -> (mu, sigma, cache).
 
     observed is (n_agents, obs_len, 2) displacement form; the sum over agents
-    makes the result independent of agent ordering. Deterministic: all
-    sampling lives in sample_latent.
+    makes the result independent of agent ordering. Deterministic: the
+    latent is drawn by the caller (sample_latent, or the training loss,
+    which keeps its standard-normal draws for the backward).
     """
     cfg = params.cfg
     grid = smap.grid
@@ -231,6 +236,7 @@ def encode_scene_backward(cache, d_mu, d_sigma, params):
 
 
 def sample_latent(latent, rng):
-    """Draw z = mu + sigma * eps; all stochasticity of the latent lives here."""
+    """Draw z = mu + sigma * eps, eps ~ N(0, 1) per entry; (m, z_dim) rows of
+    mu and sigma draw m latents at once, the stream of m single draws."""
     mu, sigma = latent
     return sample_gaussian(rng, mu, sigma)

@@ -20,7 +20,7 @@ from .model import ModelConfig, MotionModel
 from .numkit import TENSOR_DTYPES, Rng, read_tensors, write_tensors
 from .objectives import (
     LossConfig,
-    MetricsReport,
+    aggregate_metrics,
     nonlinear_filter,
     per_agent_best_metrics,
 )
@@ -87,16 +87,22 @@ class TrainConfig:
     checkpoint_every: int = 1
 
     def __post_init__(self):
-        for name in ("h", "z_dim", "q", "dec_h", "obs_len", "pred_len", "m",
-                     "batch_size", "epochs"):
+        for name in ("h", "z_dim", "q", "dec_h", "obs_len", "pred_len", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        for name in ("lr", "adam_eps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1)")
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {', '.join(allowed)}, "
                                  f"got {getattr(self, name)!r}")
+        self.loss_config()  # checks lam, margin, m and pairs_per_batch
 
     def model_config(self):
         return ModelConfig(
@@ -290,44 +296,15 @@ def evaluate(model, scenes, m, seed=1234, nonlinear_only=False, nonlinear_thresh
              horizons=()):
     """Best-of-m metrics aggregated over every agent of every scene."""
     rng = Rng(seed)
-    ades = []
-    fdes = []
-    tccs = []
-    hz_acc = {k: {"ade": [], "fde": [], "tcc": []} for k in horizons}
+    stats = []
     for scene in scenes:
-        preds = model.predict(scene, m, rng)
-        gt = scene.future()
-        keep = list(range(scene.n_agents))
-        if nonlinear_only:
-            keep = [i for i in keep
-                    if nonlinear_filter(scene.positions[i], threshold=nonlinear_threshold)]
-            if not keep:
-                continue
-        stats = per_agent_best_metrics(gt[keep], preds.positions[:, keep], horizons=horizons)
-        ades.extend(stats["ade"].tolist())
-        fdes.extend(stats["fde"].tolist())
-        tccs.extend(stats["tcc"].tolist())
-        for k, vals in stats["horizons"].items():
-            hz_acc[k]["ade"].extend(vals["ade"].tolist())
-            hz_acc[k]["fde"].extend(vals["fde"].tolist())
-            hz_acc[k]["tcc"].extend(v for v in vals["tcc"].tolist() if not np.isnan(v))
-    if not ades:
-        raise ValueError("no agents to evaluate")
-    per_h = {}
-    for k, acc in hz_acc.items():
-        if acc["ade"]:
-            per_h[k] = (
-                float(np.mean(acc["ade"])),
-                float(np.mean(acc["fde"])),
-                float(np.mean(acc["tcc"])) if acc["tcc"] else None,
-            )
-    return MetricsReport(
-        ade=float(np.mean(ades)),
-        fde=float(np.mean(fdes)),
-        tcc=float(np.mean(tccs)),
-        n_agents=len(ades),
-        per_horizon=per_h,
-    )
+        preds = model.predict(scene, m, rng).positions
+        keep = [i for i in range(scene.n_agents) if not nonlinear_only
+                or nonlinear_filter(scene.positions[i], threshold=nonlinear_threshold)]
+        if keep:
+            stats.append(per_agent_best_metrics(scene.future()[keep], preds[:, keep],
+                                                horizons=horizons))
+    return aggregate_metrics(stats)
 
 
 def save_checkpoint(path, store, state, cfg, epoch, streams=None):

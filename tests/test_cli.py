@@ -90,3 +90,25 @@ def test_train_resume_continues_run(tmp_path, capsys):
     assert "epoch 1 iter 1 " in capsys.readouterr().out
     assert ((tmp_path / "tail" / "final.ckpt").read_bytes()
             == (tmp_path / "full" / "final.ckpt").read_bytes())
+
+
+def test_eval_seed_defaults_to_the_checkpoint_eval_seed(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    main(["synth", "--kind", "turning", "--count", "2", "--out", str(data_dir),
+          "--noise", "0.05", "--seed", "2"])
+    cfg_path = write_config(tmp_path / "train.cfg", epochs=1, eval_seed=99)
+    main(["train", "--config", str(cfg_path), "--data", str(data_dir / "manifest.txt"),
+          "--out", str(tmp_path / "run")])
+    capsys.readouterr()
+    reports = []
+    for seed in ([], ["--seed", "99"], ["--seed", "1234"]):
+        main(["eval", "--ckpt", str(tmp_path / "run" / "final.ckpt"),
+              "--data", str(data_dir / "manifest.txt"), "--samples", "3", *seed])
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] != reports[2]
+
+
+def test_cellstates_takes_no_seed():
+    with pytest.raises(SystemExit) as exc:
+        main(["cellstates", "--ckpt", "a", "--scene", "b", "--out", "c", "--seed", "1"])
+    assert exc.value.code == 2

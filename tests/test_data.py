@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -244,3 +246,22 @@ def test_manifest_bad_line(tmp_path):
     (tmp_path / "manifest.txt").write_text("only_two fields\n")
     with pytest.raises(ValueError):
         load_manifest(tmp_path / "manifest.txt", WindowConfig())
+
+
+@pytest.mark.parametrize("step", ["x", "0", "-2", "1.5"])
+def test_manifest_bad_frame_step_names_path_and_line(tmp_path, step):
+    scene = synth_dataset("turning", 1, Rng(0), map_size=32)[0]
+    save_trajectories(tmp_path / "s.txt", scene_to_records(scene))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"# comment\ns.txt - 1\ns.txt - {step}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{manifest}:3: frame_step")):
+        load_manifest(manifest, WindowConfig(), map_size=32)
+
+
+def test_manifest_bad_map_names_map_path(tmp_path):
+    scene = synth_dataset("turning", 1, Rng(0), map_size=32)[0]
+    save_trajectories(tmp_path / "s.txt", scene_to_records(scene))
+    (tmp_path / "s.map").write_text("1 1 1\nnan\n")
+    (tmp_path / "manifest.txt").write_text("s.txt s.map 1\n")
+    with pytest.raises(ValueError, match=re.escape(str(tmp_path / "s.map"))):
+        load_manifest(tmp_path / "manifest.txt", WindowConfig(), map_size=32)

@@ -5,8 +5,10 @@ from motionq import gradchecks, model as model_module
 from motionq.data import SceneBatch, synth_scene, to_relative
 from motionq.model import ModelConfig, MotionModel, write_prediction_records
 from motionq.numkit import Rng, sigmoid
-from motionq.objectives import LossConfig
+from motionq.objectives import LossConfig, variety_backward, variety_forward
+from motionq.scene import encode_scene_backward, sample_latent
 
+from test_objectives import coherence_backward_oracle, coherence_forward_oracle
 from test_cell import (
     assert_close_to_oracle,
     lstm_oracle_forward,
@@ -393,6 +395,87 @@ def test_model_matches_oracle_decoder_bitwise(monkeypatch, n, m, dec_h, latent):
 # prediction
 
 
+def predict_oracle(model, scene, m, rng):
+    """Per-draw reference: one z_dim latent draw per sample."""
+    obs_disp = to_relative(scene.positions)[:, :scene.obs_len]
+    state = model.observe(obs_disp)
+    if model.scene_enc is not None:
+        mu, sigma, _ = model_module.encode_scene(scene.smap, obs_disp, model.scene_enc)
+        zs = np.stack([sample_latent((mu, sigma), rng) for _ in range(m)])
+    else:
+        zs = np.zeros((m, 0))
+    positions, _ = model.decode(state.h_obs, zs, scene.pred_len,
+                                scene.positions[:, scene.obs_len - 1], obs_disp[:, -1])
+    return positions, zs
+
+
+def loss_and_grad_oracle(model, scene, loss_cfg, rng):
+    """The objective with per-draw latents, the per-pair coherence oracle and
+    d_sigma summed draw by draw."""
+    obs_disp = to_relative(scene.positions)[:, :scene.obs_len]
+    state = model.observe(obs_disp, want_tape=True)
+    if model.scene_enc is not None:
+        mu, sigma, scene_cache = model_module.encode_scene(scene.smap, obs_disp,
+                                                           model.scene_enc)
+        eps_draws = [rng.normal(model.cfg.z_dim) for _ in range(loss_cfg.m)]
+        zs = np.stack([mu + sigma * e for e in eps_draws])
+    else:
+        zs = np.zeros((1, 0))
+    preds, dec_cache = model.decode(state.h_obs, zs, scene.pred_len,
+                                    scene.positions[:, scene.obs_len - 1], obs_disp[:, -1],
+                                    want_cache=True)
+    var_value, var_cache = variety_forward(scene.future(), preds)
+    coh_value, coh_cache = coherence_forward_oracle(state.features, model.cfg.q, loss_cfg, rng)
+    total = loss_cfg.lam * coh_value + var_value
+    d_h_obs, d_zs = model._decode_backward_agent(dec_cache, variety_backward(var_cache, 1.0))
+    d_features = np.zeros_like(state.features)
+    coherence_backward_oracle(coh_cache, loss_cfg.lam, d_features)
+    if model.scene_enc is not None:
+        d_mu = d_zs.sum(axis=0)
+        d_sigma = np.zeros_like(d_mu)
+        for k, e in enumerate(eps_draws):
+            d_sigma += d_zs[k] * e
+        encode_scene_backward(scene_cache, d_mu, d_sigma, model.scene_enc)
+    model._observe_backward(state, d_h_obs, d_features)
+    return {"total": float(total), "coherence": float(coh_value), "variety": float(var_value)}
+
+
+@pytest.mark.parametrize("m,z_dim,latent,n", [(1, 1, True, 3), (1, 3, True, 3),
+                                              (12, 1, True, 12), (4, 3, True, 3),
+                                              (3, 3, False, 3)])
+def test_latent_draws_match_per_draw_oracle_bitwise(m, z_dim, latent, n):
+    # predict's positions and draws, the loss parts, every gradient tensor and
+    # the random streams after them are the per-draw oracle's; at m = 12,
+    # z_dim = 1 a pairwise sum over the draws would differ
+    scene = make_scene("crossroad" if n > 4 else "turning", n=n, seed=12, noise=0.05)
+    lc = LossConfig(lam=0.3, m=m, pairs_per_batch=8)
+    rng = Rng(33)
+    model = MotionModel(micro_cfg(z_dim=z_dim, use_latent=latent), rng)
+    randomize(model, rng, scale=1.0)  # spreads the best samples over the draws
+
+    draws, ref_draws = Rng(6), Rng(6)
+    preds = model.predict(scene, m, draws)
+    ref_positions, ref_zs = predict_oracle(model, scene, m, ref_draws)
+    assert np.array_equal(preds.positions, ref_positions)
+    assert np.array_equal(preds.zs, ref_zs)
+    assert draws.state == ref_draws.state
+
+    for seed in range(4):
+        runs = []
+        for fn in (lambda r: model.loss_and_grad(scene, lc, r),
+                   lambda r: loss_and_grad_oracle(model, scene, lc, r)):
+            model.store.zero_grads()
+            r = Rng(seed)
+            parts = fn(r)
+            runs.append((parts, {k: model.store.grad(k).copy() for k in model.store.names()},
+                         r.state))
+        (parts, grads, state), (ref_parts, ref_grads, ref_state) = runs
+        assert parts == ref_parts
+        assert state == ref_state
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), (seed, name)
+
+
 def test_predict_sample_counts():
     cfg = micro_cfg()
     rng = Rng(17)
@@ -557,7 +640,7 @@ def test_cell_state_trace_phases():
     model = MotionModel(cfg, rng)
     randomize(model, rng)
     scene = make_scene(seed=10)
-    rows = model.cell_state_trace(scene, Rng(0))
+    rows = model.cell_state_trace(scene)
     obs_rows = [r for r in rows if r[0] == "obs"]
     pred_rows = [r for r in rows if r[0] == "pred"]
     assert len(obs_rows) == scene.n_agents * scene.obs_len
@@ -575,7 +658,7 @@ def test_cell_state_trace_pred_rows_match_oracle_rollout(latent):
     model = MotionModel(cfg, rng)
     randomize(model, rng, scale=0.4)
     scene = make_scene(n=3, seed=11, noise=0.05)
-    pred_rows = [r for r in model.cell_state_trace(scene, Rng(0)) if r[0] == "pred"]
+    pred_rows = [r for r in model.cell_state_trace(scene) if r[0] == "pred"]
     obs_disp = to_relative(scene.positions)[:, :scene.obs_len]
     state = model.observe(obs_disp)
     if latent:

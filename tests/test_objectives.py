@@ -4,14 +4,20 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from motionq.numkit import ParamStore, Rng, grad_check
+
+from test_numkit import cosine_grad_oracle
 from motionq.objectives import (
     LossConfig,
+    MetricsReport,
     ade_fde,
+    aggregate_metrics,
     best_of_m_metrics,
+    coherence_backward,
     coherence_forward,
     coherence_loss,
     format_metrics_report,
     nonlinear_filter,
+    per_agent_best_metrics,
     tcc,
     variety_backward,
     variety_forward,
@@ -89,6 +95,80 @@ def test_coherence_deterministic_given_rng():
     a = coherence_loss(feats, q=3, cfg=cfg, rng=Rng(9))
     b = coherence_loss(feats, q=3, cfg=cfg, rng=Rng(9))
     assert a == b
+
+
+def coherence_forward_oracle(features, q, cfg, rng):
+    """Per-pair reference: three scalar draws and one vector cosine per pair."""
+    features = np.asarray(features, dtype=np.float64)
+    n, t, _ = features.shape
+    pairs = []
+    total = 0.0
+    for _ in range(cfg.pairs_per_batch):
+        i = int(rng.integers(0, n))
+        t1 = int(rng.integers(0, t))
+        t2 = int(rng.integers(0, t - 1))
+        if t2 >= t1:
+            t2 += 1
+        c, da, db = cosine_grad_oracle(features[i, t1], features[i, t2])
+        if abs(t1 - t2) < q:
+            total += 1.0 - c
+            scale = -1.0
+        else:
+            hinge = c - cfg.margin
+            total += max(0.0, hinge)
+            scale = 1.0 if hinge > 0 else 0.0
+        pairs.append((i, t1, t2, scale, da, db))
+    return total / cfg.pairs_per_batch, pairs
+
+
+def coherence_backward_oracle(cache, d_value, features_grad):
+    scale = d_value / len(cache)
+    for i, t1, t2, s, da, db in cache:
+        if s == 0.0:
+            continue
+        features_grad[i, t1] += scale * s * da
+        features_grad[i, t2] += scale * s * db
+
+
+def test_coherence_matches_per_pair_oracle_bitwise():
+    # random shapes, queue lengths, margins and pair counts (1 and t = 2
+    # included), some zero-norm feature rows: the value, the gradient added to
+    # a nonzero buffer and the random stream after the draws are the oracle's
+    gen = np.random.default_rng(5)
+    for case in range(150):
+        n, t, h = gen.integers(1, 6), gen.integers(2, 10), gen.integers(1, 9)
+        if case % 5 == 0:
+            t = 2
+        q = int(gen.integers(1, 5))
+        cfg = LossConfig(margin=float(gen.choice([0.0, gen.random(), 1.0])),
+                         pairs_per_batch=int(gen.choice([1, gen.integers(2, 80)])))
+        feats = gen.standard_normal((n, t, h))
+        feats[gen.random((n, t)) < 0.15] = 0.0
+        rng, ref_rng = Rng(case), Rng(case)
+        value, cache = coherence_forward(feats, q, cfg, rng)
+        ref_value, ref_cache = coherence_forward_oracle(feats, q, cfg, ref_rng)
+        assert value == ref_value, case
+        assert rng.state == ref_rng.state, case
+        d_value = float(gen.standard_normal())
+        grad = gen.standard_normal((n, t, h))
+        ref_grad = grad.copy()
+        coherence_backward(cache, d_value, grad)
+        coherence_backward_oracle(ref_cache, d_value, ref_grad)
+        assert np.array_equal(grad, ref_grad), case
+
+
+def test_coherence_backward_without_pairs_adds_nothing():
+    grad = np.ones((2, 1, 3))
+    with pytest.warns(UserWarning):
+        _, cache = coherence_forward(np.ones((2, 1, 3)), 2, LossConfig(), Rng(0))
+    coherence_backward(cache, 1.0, grad)
+    assert np.array_equal(grad, np.ones((2, 1, 3)))
+
+
+def test_loss_config_rejects_no_pairs():
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="pairs_per_batch"):
+            LossConfig(pairs_per_batch=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +396,109 @@ def test_best_of_m_horizons_and_report_format():
     assert rep.per_horizon[1][2] is None  # no correlation on a 1-frame horizon
     text = format_metrics_report(rep)
     assert "ade all" in text and "tcc 6" in text
+
+
+def pearson_oracle(a, b):
+    da = a - a.mean()
+    db = b - b.mean()
+    va = (da * da).mean()
+    vb = (db * db).mean()
+    if va < 1e-12 or vb < 1e-12:
+        return 0.0
+    return float((da * db).mean() / np.sqrt(va * vb))
+
+
+def tcc_oracle(gt, pred):
+    """Per-agent, per-axis reference on strided 1-D views."""
+    n = gt.shape[0]
+    tx = np.mean([pearson_oracle(pred[i, :, 0], gt[i, :, 0]) for i in range(n)])
+    ty = np.mean([pearson_oracle(pred[i, :, 1], gt[i, :, 1]) for i in range(n)])
+    return float(0.5 * (tx + ty))
+
+
+def per_agent_best_metrics_oracle(gt, preds, horizons=()):
+    n, t = gt.shape[0], gt.shape[1]
+    dist = np.linalg.norm(preds - gt[None], axis=3)
+    best = dist.mean(axis=2).argmin(axis=0)
+    agents = np.arange(n)
+    chosen = preds[best, agents]
+    chosen_dist = dist[best, agents]
+    out = {
+        "ade": chosen_dist.mean(axis=1),
+        "fde": chosen_dist[:, -1],
+        "tcc": np.array([tcc_oracle(gt[i:i + 1], chosen[i:i + 1]) for i in range(n)]),
+        "best": best,
+    }
+    hz = {}
+    for k in horizons:
+        if not 1 <= k <= t:
+            continue
+        hz[k] = {
+            "ade": chosen_dist[:, :k].mean(axis=1),
+            "fde": chosen_dist[:, k - 1],
+            "tcc": (np.array([tcc_oracle(gt[i:i + 1, :k], chosen[i:i + 1, :k])
+                              for i in range(n)])
+                    if k >= 2 else np.full(n, np.nan)),
+        }
+    out["horizons"] = hz
+    return out
+
+
+def best_of_m_metrics_oracle(gt, preds, horizons=()):
+    stats = per_agent_best_metrics_oracle(gt, preds, horizons)
+    per_h = {}
+    for k, vals in stats["horizons"].items():
+        t_vals = vals["tcc"]
+        per_h[k] = (float(vals["ade"].mean()), float(vals["fde"].mean()),
+                    float(np.nanmean(t_vals)) if not np.all(np.isnan(t_vals)) else None)
+    return MetricsReport(ade=float(stats["ade"].mean()), fde=float(stats["fde"].mean()),
+                         tcc=float(stats["tcc"].mean()), n_agents=gt.shape[0],
+                         per_horizon=per_h)
+
+
+def assert_stats_equal(stats, ref):
+    assert stats.keys() == ref.keys()
+    for key in ("ade", "fde", "tcc", "best"):
+        assert np.array_equal(stats[key], ref[key], equal_nan=True), key
+    assert stats["horizons"].keys() == ref["horizons"].keys()
+    for k, vals in stats["horizons"].items():
+        for key, arr in vals.items():
+            assert np.array_equal(arr, ref["horizons"][k][key], equal_nan=True), (k, key)
+
+
+def random_metric_case(gen):
+    n, t, m = gen.integers(1, 18), gen.integers(2, 15), gen.integers(1, 6)
+    gt = np.cumsum(gen.standard_normal((n, t, 2)), axis=1)
+    preds = gt + gen.standard_normal((m, n, t, 2))
+    gt[gen.random(n) < 0.2, :, 1] = 0.5  # stationary axes score 0
+    return gt, preds, (1, 2, int(gen.integers(3, 20)), t, t + 1)
+
+
+def test_metrics_match_per_agent_oracle_bitwise():
+    gen = np.random.default_rng(6)
+    for case in range(120):
+        gt, preds, horizons = random_metric_case(gen)
+        assert tcc(gt, preds[0]) == tcc_oracle(gt, preds[0]), case
+        assert_stats_equal(per_agent_best_metrics(gt, preds, horizons),
+                           per_agent_best_metrics_oracle(gt, preds, horizons))
+        assert best_of_m_metrics(gt, preds, horizons=horizons) == \
+            best_of_m_metrics_oracle(gt, preds, horizons), case
+
+
+def test_per_agent_best_metrics_rejects_one_frame_horizon():
+    with pytest.raises(ValueError, match="horizon of >= 2 frames"):
+        per_agent_best_metrics(np.zeros((2, 1, 2)), np.zeros((3, 2, 1, 2)))
+
+
+def test_aggregate_metrics_pools_agents_and_needs_some():
+    gen = np.random.default_rng(7)
+    stats = [per_agent_best_metrics(*random_metric_case(gen)[:2], horizons=(2,))
+             for _ in range(3)]
+    rep = aggregate_metrics(stats)
+    assert rep.n_agents == sum(s["ade"].size for s in stats)
+    assert rep.ade == float(np.concatenate([s["ade"] for s in stats]).mean())
+    with pytest.raises(ValueError, match="no agents"):
+        aggregate_metrics([])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -170,4 +172,18 @@ def test_map_payload_size_mismatch(tmp_path):
     path = tmp_path / "bad.map"
     path.write_text("2 2 1\n1 2 3\n")
     with pytest.raises(ValueError):
+        load_map(path)
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("7 x 1\n1\n", "bad map header '7 x 1'"),
+    ("2 1.5 1\n1 2 3\n", "bad map header"),
+    ("1 2 1\n1 y\n", "could not convert"),
+    ("1 2 1\n1 nan\n", "non-finite"),
+    ("2 2 1\n1 2 3\n", "expected 4 values, found 3"),
+])
+def test_malformed_map_names_path(tmp_path, text, reason):
+    path = tmp_path / "bad.map"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(reason)):
         load_map(path)

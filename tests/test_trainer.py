@@ -7,6 +7,7 @@ import pytest
 from motionq.data import synth_dataset
 from motionq.model import MotionModel
 from motionq.numkit import ParamStore, Rng
+from motionq.objectives import MetricsReport, nonlinear_filter, per_agent_best_metrics
 from motionq.trainer import (
     AdamState,
     TrainConfig,
@@ -117,6 +118,24 @@ def test_config_rejects_values_outside_their_sets(key, bad):
         TrainConfig.from_text(f"{key} = {bad}\n")
     with pytest.raises(ValueError, match=key):
         TrainConfig(**{key: bad})
+
+
+@pytest.mark.parametrize("key,bad", [
+    ("pairs_per_batch", 0), ("pairs_per_batch", -3), ("lam", -0.1), ("lam", float("nan")),
+    ("margin", -0.1), ("margin", 1.5), ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0),
+    ("adam_eps", 0.0), ("adam_eps", -1.0), ("checkpoint_every", -1),
+])
+def test_config_rejects_values_outside_their_ranges(key, bad):
+    with pytest.raises(ValueError, match=key):
+        TrainConfig(**{key: bad})
+    with pytest.raises(ValueError, match=key):
+        TrainConfig.from_text(f"{key} = {bad}\n")
+
+
+def test_config_range_edges_stay_valid():
+    TrainConfig(checkpoint_every=0, lam=0.0, margin=0.0, beta1=0.0, beta2=0.0,
+                pairs_per_batch=1)
+    TrainConfig(margin=1.0, adam_eps=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +382,54 @@ def test_evaluate_nonlinear_only_filter(tmp_path):
     assert rep.n_agents == sum(s.n_agents for s in turning)  # straight walkers excluded
     with pytest.raises(ValueError):
         evaluate(model, parallel, 2, seed=3, nonlinear_only=True)
+
+
+def evaluate_oracle(model, scenes, m, seed=1234, nonlinear_only=False, horizons=()):
+    """List-building reference for evaluate's aggregation."""
+    rng = Rng(seed)
+    ades, fdes, tccs = [], [], []
+    hz_acc = {k: {"ade": [], "fde": [], "tcc": []} for k in horizons}
+    for scene in scenes:
+        preds = model.predict(scene, m, rng)
+        keep = list(range(scene.n_agents))
+        if nonlinear_only:
+            keep = [i for i in keep if nonlinear_filter(scene.positions[i])]
+            if not keep:
+                continue
+        stats = per_agent_best_metrics(scene.future()[keep], preds.positions[:, keep],
+                                       horizons=horizons)
+        ades.extend(stats["ade"].tolist())
+        fdes.extend(stats["fde"].tolist())
+        tccs.extend(stats["tcc"].tolist())
+        for k, vals in stats["horizons"].items():
+            hz_acc[k]["ade"].extend(vals["ade"].tolist())
+            hz_acc[k]["fde"].extend(vals["fde"].tolist())
+            hz_acc[k]["tcc"].extend(v for v in vals["tcc"].tolist() if not np.isnan(v))
+    per_h = {}
+    for k, acc in hz_acc.items():
+        if acc["ade"]:
+            per_h[k] = (float(np.mean(acc["ade"])), float(np.mean(acc["fde"])),
+                        float(np.mean(acc["tcc"])) if acc["tcc"] else None)
+    return MetricsReport(ade=float(np.mean(ades)), fde=float(np.mean(fdes)),
+                         tcc=float(np.mean(tccs)), n_agents=len(ades), per_horizon=per_h)
+
+
+@pytest.mark.parametrize("m", [1, 6])
+def test_evaluate_matches_list_oracle_bitwise(m):
+    # horizons of 1 frame, inside and beyond pred_len; with nonlinear_only a
+    # parallel scene keeps no agent and a turning scene keeps some
+    model = build_model(micro_train_cfg(pred_len=5))
+    scenes = (synth_dataset("turning", 3, Rng(4), n_agents=3, noise=0.05, pred_len=5)
+              + synth_dataset("parallel", 2, Rng(5), n_agents=2, pred_len=5)
+              + synth_dataset("crossroad", 1, Rng(6), n_agents=9, noise=0.05, pred_len=5))
+    horizons = (1, 2, 4, 5, 9)
+    for nonlinear_only in (False, True):
+        rep = evaluate(model, scenes, m, seed=8, nonlinear_only=nonlinear_only,
+                       horizons=horizons)
+        ref = evaluate_oracle(model, scenes, m, seed=8, nonlinear_only=nonlinear_only,
+                              horizons=horizons)
+        assert rep == ref
+        assert set(rep.per_horizon) == {1, 2, 4, 5} and rep.per_horizon[1][2] is None
 
 
 def test_interrupted_checkpoint_save_keeps_previous(tmp_path, monkeypatch):
