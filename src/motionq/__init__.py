@@ -9,7 +9,7 @@ cell at q = 1, the vanilla LSTM. Everything, including the backward passes,
 is written against numpy directly.
 """
 
-from .numkit import Rng, ParamStore, grad_check, cosine_sim, sample_gaussian
+from .numkit import Rng, ParamStore, grad_check, cosine_sim
 from .queues import push_pop
 from .data import SceneBatch, WindowConfig, load_trajectories, extract_windows, to_relative, synth_scene
 from .model import ModelConfig, MotionModel, PredictionSet

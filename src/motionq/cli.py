@@ -8,10 +8,8 @@ import sys
 
 from .data import (
     WindowConfig,
-    blank_map,
     load_manifest,
-    load_trajectories,
-    extract_windows,
+    load_windows,
     scene_to_records,
     save_trajectories,
     synth_dataset,
@@ -19,7 +17,7 @@ from .data import (
 from .model import write_prediction_records
 from .numkit import Rng
 from .objectives import format_metrics_report
-from .scene import load_map, save_map
+from .scene import save_map
 from .trainer import TrainConfig, evaluate, load_checkpoint, train
 
 
@@ -30,6 +28,17 @@ def _load_scenes(manifest, cfg):
         map_size=cfg.map_size,
         map_channels=cfg.map_channels,
     )
+
+
+def _scene_windows(args, cfg):
+    """Windows of --scene with its --map (a blank map when omitted), ids
+    prefixed with the scene file's name; exits when there are none."""
+    windows = load_windows(args.scene, args.map or None,
+                           WindowConfig(cfg.obs_len, cfg.pred_len, 1, args.frame_step),
+                           cfg.map_size, cfg.map_channels, os.path.basename(args.scene) + ":")
+    if not windows:
+        sys.exit("no complete windows in the scene file")
+    return windows
 
 
 def _cmd_train(args):
@@ -60,16 +69,7 @@ def _cmd_eval(args):
 
 def _cmd_predict(args):
     cfg, model, _, _ = load_checkpoint(args.ckpt)
-    records = load_trajectories(args.scene)
-    if args.map:
-        smap = load_map(args.map, scene_id=os.path.basename(args.map))
-    else:
-        smap = blank_map(cfg.map_size, cfg.map_channels)
-    windows = extract_windows(
-        records, WindowConfig(cfg.obs_len, cfg.pred_len, 1, args.frame_step),
-        smap=smap, scene_prefix=os.path.basename(args.scene) + ":")
-    if not windows:
-        sys.exit("no complete windows in the scene file")
+    windows = _scene_windows(args, cfg)
     rng = Rng(args.seed)
     with open(args.out, "w") as fh:
         fh.write("# scene_id agent_id sample_id frame_id x y\n")
@@ -111,16 +111,7 @@ def _cmd_synth(args):
 
 def _cmd_cellstates(args):
     cfg, model, _, _ = load_checkpoint(args.ckpt)
-    records = load_trajectories(args.scene)
-    if args.map:
-        smap = load_map(args.map)
-    else:
-        smap = blank_map(cfg.map_size, cfg.map_channels)
-    windows = extract_windows(
-        records, WindowConfig(cfg.obs_len, cfg.pred_len, 1, args.frame_step),
-        smap=smap, scene_prefix=os.path.basename(args.scene) + ":")
-    if not windows:
-        sys.exit("no complete windows in the scene file")
+    windows = _scene_windows(args, cfg)
     with open(args.out, "w") as fh:
         fh.write("# scene_id phase agent_id frame_id c0 c1 ...\n")
         for scene in windows:

@@ -10,7 +10,8 @@ A (frame_id, agent_id) pair may appear at most once per file.
 
 Dataset manifests list one source per line: ``traj_path map_path frame_step``
 with '-' as the map path for scenes without a semantic map (a uniform
-walkable map is substituted). Paths are resolved relative to the manifest.
+walkable map is substituted). Paths are resolved relative to the manifest,
+and a listed map must be map_size x map_size x map_channels.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "save_trajectories",
     "to_relative",
     "extract_windows",
+    "load_windows",
     "blank_map",
     "synth_scene",
     "synth_dataset",
@@ -199,15 +201,30 @@ def extract_windows(records, cfg, smap=None, scene_prefix=""):
     return windows
 
 
+def load_windows(traj_path, map_path, cfg, map_size, map_channels, scene_prefix):
+    """extract_windows of one trajectory file, all sharing the map read from
+    map_path, or a blank map when map_path is None. A map whose grid is not
+    (map_size, map_size, map_channels) raises ValueError naming map_path."""
+    records = load_trajectories(traj_path)
+    if map_path is None:
+        smap = blank_map(map_size, map_channels)
+    else:
+        smap = load_map(map_path)
+        if smap.grid.shape != (map_size, map_size, map_channels):
+            raise ValueError(f"{map_path}: map grid {smap.grid.shape} does not match "
+                             f"configured ({map_size}, {map_size}, {map_channels})")
+    return extract_windows(records, cfg, smap=smap, scene_prefix=scene_prefix)
+
+
 # ---------------------------------------------------------------------------
 # synthetic scenes
 
 
-def blank_map(map_size=64, channels=2, scene_id=""):
+def blank_map(map_size=64, channels=2):
     """Uniform walkable map: channel 0 set to 1 everywhere."""
     grid = np.zeros((map_size, map_size, channels))
     grid[:, :, 0] = 1.0
-    return SemanticMap(grid, scene_id=scene_id)
+    return SemanticMap(grid)
 
 
 def _paint_band(grid, lo, hi, axis):
@@ -292,10 +309,7 @@ def synth_scene(kind, n_agents, rng, noise=0.0, map_size=64, map_channels=2,
             lane = c + (i - (n_agents - 1) / 2) * 1.0
             positions[i, :, 0] = x0 + speed * t_axis
             positions[i, :, 1] = lane
-        smap = SemanticMap(
-            _corridor_map(map_size, map_channels, c, half_width=1.0 + n_agents / 2),
-            scene_id=scene_id,
-        )
+        smap = SemanticMap(_corridor_map(map_size, map_channels, c, half_width=1.0 + n_agents / 2))
 
     elif kind == "face_to_face":
         speed = 0.5 + 0.1 * rng.uniform()
@@ -310,10 +324,7 @@ def synth_scene(kind, n_agents, rng, noise=0.0, map_size=64, map_channels=2,
             positions[a, :, 1] = lane + dodge
             positions[b, :, 0] = xb - speed * t_axis
             positions[b, :, 1] = lane - dodge
-        smap = SemanticMap(
-            _corridor_map(map_size, map_channels, c, half_width=1.5 + n_agents / 2),
-            scene_id=scene_id,
-        )
+        smap = SemanticMap(_corridor_map(map_size, map_channels, c, half_width=1.5 + n_agents / 2))
 
     elif kind == "turning":
         speed = 0.5 + 0.1 * rng.uniform()
@@ -328,9 +339,7 @@ def synth_scene(kind, n_agents, rng, noise=0.0, map_size=64, map_channels=2,
                 else:
                     positions[i, t] = (x0 + speed * turn_at, lane + turn_sign * speed * (t - turn_at))
         smap = SemanticMap(
-            _corner_map(map_size, map_channels, c, turn_sign, half_width=1.0 + n_agents / 2),
-            scene_id=scene_id,
-        )
+            _corner_map(map_size, map_channels, c, turn_sign, half_width=1.0 + n_agents / 2))
 
     else:  # crossroad
         speed = 0.5 + 0.1 * rng.uniform()
@@ -356,7 +365,7 @@ def synth_scene(kind, n_agents, rng, noise=0.0, map_size=64, map_channels=2,
                     positions[i, t] = start + direction * speed * t
                 else:
                     positions[i, t] = np.array([c, c]) + out_dir * speed * (t - cross_at)
-        smap = SemanticMap(_cross_map(map_size, map_channels), scene_id=scene_id)
+        smap = SemanticMap(_cross_map(map_size, map_channels))
 
     if noise > 0:
         positions = positions + noise * rng.normal(positions.shape)
@@ -379,7 +388,13 @@ def synth_dataset(kind, count, rng, n_agents=2, noise=0.0, map_size=64,
 
 
 def load_manifest(path, cfg, map_size=64, map_channels=2):
-    """Build scene windows from every source listed in a manifest file."""
+    """Build scene windows from every source listed in a manifest file.
+
+    Each line's trajectory file and map (or '-') are read by load_windows,
+    with the line's frame_step; window ids are prefixed with the trajectory
+    file's name without its extension. A malformed line raises ValueError
+    naming `path:line`, a malformed or wrong-size map one naming the map.
+    """
     base = os.path.dirname(os.path.abspath(path))
     scenes = []
     with open(path) as fh:
@@ -393,13 +408,9 @@ def load_manifest(path, cfg, map_size=64, map_channels=2):
             if not parts[2].isdigit() or int(parts[2]) < 1:
                 raise ValueError(f"{path}:{lineno}: frame_step must be an integer >= 1, "
                                  f"got {parts[2]!r}")
-            traj_path = os.path.join(base, parts[0])
-            records = load_trajectories(traj_path)
-            if parts[1] == "-":
-                smap = blank_map(map_size, map_channels, scene_id=parts[0])
-            else:
-                smap = load_map(os.path.join(base, parts[1]), scene_id=parts[1])
+            map_path = None if parts[1] == "-" else os.path.join(base, parts[1])
             step_cfg = WindowConfig(cfg.obs_len, cfg.pred_len, cfg.stride, int(parts[2]))
             prefix = os.path.splitext(os.path.basename(parts[0]))[0] + ":"
-            scenes.extend(extract_windows(records, step_cfg, smap=smap, scene_prefix=prefix))
+            scenes.extend(load_windows(os.path.join(base, parts[0]), map_path, step_cfg,
+                                       map_size, map_channels, prefix))
     return scenes

@@ -111,7 +111,13 @@ class PredictionSet:
 
 class MotionModel:
     """Full forecaster: queue-gated encoder, social refinement, latent fusion,
-    LSTM decoder, and the training objective with hand-derived gradients."""
+    LSTM decoder, and the training objective with hand-derived gradients.
+
+    predict, the loss and cell_state_trace share one scene path: `_encode`
+    observes the scene and runs the scene head (a latent model refuses a
+    scene without a map there), `sample_latent` draws the latents, and
+    `_rollout` decodes from the last observed position and displacement.
+    """
 
     def __init__(self, cfg: ModelConfig, rng, dtype=np.float64):
         self.cfg = cfg
@@ -249,27 +255,38 @@ class MotionModel:
         d_s = (d_a0 @ dec.W_fuse).reshape(m, n, -1)
         return d_s[:, :, :dec.h_enc].sum(axis=0), d_s[:, :, dec.h_enc:].sum(axis=1)
 
+    # ------------------------------------------------------------------ scene path
+
+    def _encode(self, scene, want_tape=False, want_cells=False):
+        """(obs_disp, EncoderState, latent) of a scene: its observed
+        displacements, the observation run and the scene head's
+        (mu, sigma, cache), or None for a model without a latent."""
+        obs_disp = to_relative(scene.positions)[:, :scene.obs_len]
+        state = self.observe(obs_disp, want_tape=want_tape, want_cells=want_cells)
+        if self.scene_enc is None:
+            return obs_disp, state, None
+        if scene.smap is None:
+            raise ValueError("model is latent-conditioned but the scene has no semantic map")
+        return obs_disp, state, encode_scene(scene.smap, obs_disp, self.scene_enc)
+
+    def _rollout(self, scene, obs_disp, state, zs, steps=None, want_cache=False):
+        """Decode zs from the scene's last observed position and displacement
+        over `steps` frames, by default its future frames (the configured
+        pred_len when it has none); returns decode's (positions, cache)."""
+        if steps is None:
+            steps = scene.pred_len if scene.pred_len > 0 else self.cfg.pred_len
+        return self.decode(state.h_obs, zs, steps, scene.positions[:, scene.obs_len - 1],
+                           obs_disp[:, -1], want_cache=want_cache)
+
     # ------------------------------------------------------------------ prediction
 
     def predict(self, scene, m, rng, steps=None):
         """Encode once, sample m latent draws, decode m futures per agent."""
         if m < 1:
             raise ValueError("m must be >= 1")
-        disp = to_relative(scene.positions)
-        obs_disp = disp[:, :scene.obs_len]
-        state = self.observe(obs_disp)
-        if steps is None:
-            steps = scene.pred_len if scene.pred_len > 0 else self.cfg.pred_len
-        last_pos = scene.positions[:, scene.obs_len - 1]
-        last_disp = obs_disp[:, -1]
-        if self.scene_enc is not None:
-            if scene.smap is None:
-                raise ValueError("model is latent-conditioned but the scene has no semantic map")
-            mu, sigma, _ = encode_scene(scene.smap, obs_disp, self.scene_enc)
-            zs = sample_latent((np.tile(mu, (m, 1)), np.tile(sigma, (m, 1))), rng)
-        else:
-            zs = np.zeros((m, 0))
-        positions, _ = self.decode(state.h_obs, zs, steps, last_pos, last_disp)
+        obs_disp, state, latent = self._encode(scene)
+        zs = np.zeros((m, 0)) if latent is None else sample_latent(*latent[:2], m, rng)[0]
+        positions, _ = self._rollout(scene, obs_disp, state, zs, steps)
         return PredictionSet(positions, zs)
 
     # ------------------------------------------------------------------ training
@@ -285,29 +302,15 @@ class MotionModel:
     def _loss_impl(self, scene, loss_cfg, rng, with_grad):
         if scene.pred_len < 1:
             raise ValueError("training scenes need ground-truth future frames")
-        disp = to_relative(scene.positions)
-        obs_disp = disp[:, :scene.obs_len]
-        gt = scene.future()
-        steps = scene.pred_len
-        last_pos = scene.positions[:, scene.obs_len - 1]
-        last_disp = obs_disp[:, -1]
-
-        state = self.observe(obs_disp, want_tape=with_grad)
-
-        scene_cache = None
-        if self.scene_enc is not None:
-            if scene.smap is None:
-                raise ValueError("model is latent-conditioned but the scene has no semantic map")
-            mu, sigma, scene_cache = encode_scene(scene.smap, obs_disp, self.scene_enc)
-            eps = rng.normal((loss_cfg.m, self.cfg.z_dim))  # the stream of m draws of z_dim
-            zs = mu + sigma * eps
-        else:
+        obs_disp, state, latent = self._encode(scene, want_tape=with_grad)
+        if latent is None:
             zs = np.zeros((1, 0))  # all samples coincide without a latent
+        else:
+            mu, sigma, scene_cache = latent
+            zs, eps = sample_latent(mu, sigma, loss_cfg.m, rng)
+        preds, dec_cache = self._rollout(scene, obs_disp, state, zs, want_cache=with_grad)
 
-        preds, dec_cache = self.decode(state.h_obs, zs, steps, last_pos, last_disp,
-                                       want_cache=with_grad)
-
-        var_value, var_cache = variety_forward(gt, preds)
+        var_value, var_cache = variety_forward(scene.future(), preds)
         coh_value, coh_cache = coherence_forward(state.features, self.cfg.q, loss_cfg, rng)
         total = loss_cfg.lam * coh_value + var_value
         parts = {"total": float(total), "coherence": float(coh_value), "variety": float(var_value)}
@@ -320,7 +323,7 @@ class MotionModel:
         d_features = np.zeros_like(state.features)
         coherence_backward(coh_cache, loss_cfg.lam, d_features)
 
-        if self.scene_enc is not None:
+        if latent is not None:
             d_mu = d_zs.sum(axis=0)
             d_sigma = np.cumsum(d_zs * eps, axis=0)[-1]  # summed in draw order
             encode_scene_backward(scene_cache, d_mu, d_sigma, self.scene_enc)
@@ -337,28 +340,14 @@ class MotionModel:
         every observation frame, then decoder cells for a rollout driven by
         the mean latent (deterministic export).
         """
-        disp = to_relative(scene.positions)
-        obs_disp = disp[:, :scene.obs_len]
-        state = self.observe(obs_disp, want_cells=True)
-        rows = []
-        for i in range(scene.n_agents):
-            for t in range(scene.obs_len):
-                rows.append(("obs", i, t, state.cells[i, t].copy()))
-        if steps is None:
-            steps = scene.pred_len if scene.pred_len > 0 else self.cfg.pred_len
-        if self.scene_enc is not None:
-            mu, sigma, _ = encode_scene(scene.smap, obs_disp, self.scene_enc)
-            z = mu[None]  # mean latent
-        else:
-            z = np.zeros((1, 0))
-        last_pos = scene.positions[:, scene.obs_len - 1]
-        last_disp = obs_disp[:, -1]
-        _, (_, _, records) = self.decode(state.h_obs, z, steps, last_pos, last_disp,
-                                         want_cache=True)
-        for i in range(scene.n_agents):
-            for t in range(steps):
-                rows.append(("pred", i, t, records[t][2][i].copy()))
-        return rows
+        obs_disp, state, latent = self._encode(scene, want_cells=True)
+        z = np.zeros((1, 0)) if latent is None else latent[0][None]  # mean latent
+        _, (_, _, records) = self._rollout(scene, obs_disp, state, z, steps, want_cache=True)
+        agents = range(scene.n_agents)
+        return ([("obs", i, t, state.cells[i, t].copy()) for i in agents
+                 for t in range(scene.obs_len)]
+                + [("pred", i, t, records[t][2][i].copy()) for i in agents
+                   for t in range(len(records))])
 
 
 def write_prediction_records(path, scene_id, pred_set):

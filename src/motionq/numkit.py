@@ -19,7 +19,6 @@ __all__ = [
     "cosine_sim",
     "cosine_sim_grad",
     "Rng",
-    "sample_gaussian",
     "ParamStore",
     "grad_check",
 ]
@@ -139,17 +138,6 @@ class Rng:
 
     def __repr__(self):
         return f"Rng(seed={self.seed})"
-
-
-def sample_gaussian(rng, mu, sigma):
-    """Reparameterized Gaussian draw: mu + sigma * eps, eps ~ N(0, 1) per entry."""
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if mu.shape != sigma.shape:
-        raise ValueError(f"mu/sigma shape mismatch: {mu.shape} vs {sigma.shape}")
-    if np.any(sigma < 0):
-        raise ValueError("sigma entries must be nonnegative")
-    return mu + sigma * rng.normal(mu.shape)
 
 
 class ParamStore:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numkit import check_finite, relu, sigmoid, sample_gaussian
+from .numkit import check_finite, relu, sigmoid
 
 __all__ = [
     "SemanticMap",
@@ -39,7 +39,6 @@ class SemanticMap:
     """Class-score grid describing the static scene layout."""
 
     grid: np.ndarray  # (H, W, C)
-    scene_id: str = ""
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=np.float64)
@@ -57,7 +56,7 @@ def save_map(path, smap):
             fh.write(" ".join(repr(float(v)) for v in flat[start:start + 16]) + "\n")
 
 
-def load_map(path, scene_id=""):
+def load_map(path):
     """Read a file written by save_map; a malformed one raises ValueError naming path."""
     try:
         with open(path) as fh:
@@ -68,7 +67,7 @@ def load_map(path, scene_id=""):
             vals = np.array(fh.read().split(), dtype=np.float64)
         if vals.size != h * w * c:
             raise ValueError(f"expected {h * w * c} values, found {vals.size}")
-        return SemanticMap(vals.reshape(h, w, c), scene_id=scene_id)
+        return SemanticMap(vals.reshape(h, w, c))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -154,8 +153,7 @@ def encode_scene(smap, observed, params):
 
     observed is (n_agents, obs_len, 2) displacement form; the sum over agents
     makes the result independent of agent ordering. Deterministic: the
-    latent is drawn by the caller (sample_latent, or the training loss,
-    which keeps its standard-normal draws for the backward).
+    caller draws the latent with sample_latent.
     """
     cfg = params.cfg
     grid = smap.grid
@@ -235,8 +233,16 @@ def encode_scene_backward(cache, d_mu, d_sigma, params):
     return None
 
 
-def sample_latent(latent, rng):
-    """Draw z = mu + sigma * eps, eps ~ N(0, 1) per entry; (m, z_dim) rows of
-    mu and sigma draw m latents at once, the stream of m single draws."""
-    mu, sigma = latent
-    return sample_gaussian(rng, mu, sigma)
+def sample_latent(mu, sigma, m, rng):
+    """m latent draws z_k = mu + sigma * eps_k, eps ~ N(0, 1) per entry;
+    returns (zs, eps), both (m, z_dim). The one (m, z_dim) normal draw is the
+    stream of m single z_dim draws, and the training loss keeps eps for the
+    backward."""
+    mu = np.asarray(mu, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if mu.shape != sigma.shape:
+        raise ValueError(f"mu/sigma shape mismatch: {mu.shape} vs {sigma.shape}")
+    if np.any(sigma < 0):
+        raise ValueError("sigma entries must be nonnegative")
+    eps = rng.normal((m, *mu.shape))
+    return mu + sigma * eps, eps

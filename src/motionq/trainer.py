@@ -50,6 +50,9 @@ CHOICES = {
 # longer has: key -> the one stored value that still loads, being what the
 # code now always does (None: any value, as the key never changed a number)
 RETIRED_KEYS = {
+    "beta1": "0.9",
+    "beta2": "0.999",
+    "adam_eps": "1e-08",
     "dataset": None,
     "eval_samples": None,
     "sigma_transform": "sigmoid",
@@ -77,9 +80,6 @@ class TrainConfig:
     pairs_per_batch: int = 64
     batch_size: int = 64
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 200
     seed: int = 0
     eval_seed: int = 1234
@@ -90,14 +90,10 @@ class TrainConfig:
         for name in ("h", "z_dim", "q", "dec_h", "obs_len", "pred_len", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("lr", "adam_eps"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        if not self.lr > 0:
+            raise ValueError("lr must be positive")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1)")
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {', '.join(allowed)}, "
@@ -250,7 +246,7 @@ def train(cfg: TrainConfig, scenes, out_dir, log=None, resume=None):
                     f"non-finite loss at {_batch_place(epoch, iteration, scenes, batch)}")
             model.store.scale_grads(1.0 / len(batch))
             try:
-                adam_step(model.store, state, cfg.lr, (cfg.beta1, cfg.beta2), cfg.adam_eps)
+                adam_step(model.store, state, cfg.lr)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"{exc} at {_batch_place(epoch, iteration, scenes, batch)}") from None

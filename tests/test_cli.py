@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from motionq.cli import main
@@ -112,3 +114,23 @@ def test_cellstates_takes_no_seed():
     with pytest.raises(SystemExit) as exc:
         main(["cellstates", "--ckpt", "a", "--scene", "b", "--out", "c", "--seed", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["predict", "cellstates"])
+def test_scene_commands_reject_wrong_size_map_naming_it(tmp_path, capsys, command):
+    data_dir = tmp_path / "data"
+    small_dir = tmp_path / "small"
+    main(["synth", "--kind", "turning", "--count", "1", "--out", str(data_dir)])
+    main(["synth", "--kind", "turning", "--count", "1", "--out", str(small_dir),
+          "--map-size", "32"])
+    cfg_path = write_config(tmp_path / "train.cfg", epochs=1)
+    main(["train", "--config", str(cfg_path), "--data", str(data_dir / "manifest.txt"),
+          "--out", str(tmp_path / "run")])
+    small_map = small_dir / "turning_0000.map"
+    with pytest.raises(ValueError, match=re.escape(f"{small_map}: map grid (32, 32, 2) "
+                                                   "does not match configured (64, 64, 2)")):
+        main([command, "--ckpt", str(tmp_path / "run" / "final.ckpt"),
+              "--scene", str(data_dir / "turning_0000.txt"), "--map", str(small_map),
+              "--out", str(tmp_path / "out.txt")])
+    assert not (tmp_path / "out.txt").exists()
+    capsys.readouterr()

@@ -265,3 +265,13 @@ def test_manifest_bad_map_names_map_path(tmp_path):
     (tmp_path / "manifest.txt").write_text("s.txt s.map 1\n")
     with pytest.raises(ValueError, match=re.escape(str(tmp_path / "s.map"))):
         load_manifest(tmp_path / "manifest.txt", WindowConfig(), map_size=32)
+
+
+def test_manifest_wrong_size_map_names_map_path(tmp_path):
+    scene = synth_dataset("turning", 1, Rng(0), map_size=32)[0]
+    save_trajectories(tmp_path / "s.txt", scene_to_records(scene))
+    save_map(tmp_path / "s.map", scene.smap)
+    (tmp_path / "manifest.txt").write_text("s.txt s.map 1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 's.map'}: map grid (32, 32, 2) "
+                                                   "does not match configured (64, 64, 2)")):
+        load_manifest(tmp_path / "manifest.txt", WindowConfig(), map_size=64)

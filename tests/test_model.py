@@ -6,7 +6,7 @@ from motionq.data import SceneBatch, synth_scene, to_relative
 from motionq.model import ModelConfig, MotionModel, write_prediction_records
 from motionq.numkit import Rng, sigmoid
 from motionq.objectives import LossConfig, variety_backward, variety_forward
-from motionq.scene import encode_scene_backward, sample_latent
+from motionq.scene import encode_scene_backward
 
 from test_objectives import coherence_backward_oracle, coherence_forward_oracle
 from test_cell import (
@@ -401,7 +401,7 @@ def predict_oracle(model, scene, m, rng):
     state = model.observe(obs_disp)
     if model.scene_enc is not None:
         mu, sigma, _ = model_module.encode_scene(scene.smap, obs_disp, model.scene_enc)
-        zs = np.stack([sample_latent((mu, sigma), rng) for _ in range(m)])
+        zs = np.stack([mu + sigma * rng.normal(model.cfg.z_dim) for _ in range(m)])
     else:
         zs = np.zeros((m, 0))
     positions, _ = model.decode(state.h_obs, zs, scene.pred_len,
@@ -536,6 +536,17 @@ def test_predict_missing_map_rejected():
     scene.smap = None
     with pytest.raises(ValueError):
         model.predict(scene, 1, Rng(0))
+
+
+def test_cell_state_trace_missing_map_rejected_as_in_predict():
+    model = MotionModel(micro_cfg(), Rng(21))
+    scene = make_scene(seed=4)
+    scene.smap = None
+    with pytest.raises(ValueError) as predicted:
+        model.predict(scene, 1, Rng(0))
+    with pytest.raises(ValueError) as traced:
+        model.cell_state_trace(scene)
+    assert str(traced.value) == str(predicted.value)
 
 
 def test_translation_covariance():

@@ -10,7 +10,6 @@ from motionq.numkit import (
     cosine_sim,
     cosine_sim_grad,
     grad_check,
-    sample_gaussian,
     sigmoid,
 )
 
@@ -164,35 +163,6 @@ def test_rng_same_seed_same_stream():
     assert np.array_equal(a.normal(100), b.normal(100))
     assert np.array_equal(a.uniform(-1, 1, 50), b.uniform(-1, 1, 50))
     assert np.array_equal(a.integers(0, 1000, 50), b.integers(0, 1000, 50))
-
-
-# ---------------------------------------------------------------- gaussian sampling
-
-
-def test_sample_gaussian_sigma_zero_is_mu():
-    mu = np.array([1.5, -2.0, 0.25])
-    out = sample_gaussian(Rng(0), mu, np.zeros(3))
-    assert np.array_equal(out, mu)
-
-
-def test_sample_gaussian_deterministic():
-    mu = np.array([0.1, 0.2])
-    sigma = np.array([1.0, 2.0])
-    assert np.array_equal(
-        sample_gaussian(Rng(9), mu, sigma), sample_gaussian(Rng(9), mu, sigma)
-    )
-
-
-def test_sample_gaussian_negative_sigma_rejected():
-    with pytest.raises(ValueError):
-        sample_gaussian(Rng(0), np.zeros(2), np.array([0.5, -0.1]))
-
-
-def test_sample_gaussian_moments():
-    rng = Rng(2024)
-    draws = np.array([sample_gaussian(rng, np.zeros(1), np.ones(1))[0] for _ in range(100_000)])
-    assert abs(draws.mean()) < 0.02
-    assert abs(draws.var() - 1.0) < 0.05
 
 
 # ---------------------------------------------------------------- param store

@@ -122,26 +122,26 @@ def test_grad_check_scene_encoder():
 
 def test_sample_latent_sigma_zero():
     mu = np.array([0.3, -0.2, 1.0])
-    z = sample_latent((mu, np.zeros(3)), Rng(0))
+    (z,), _ = sample_latent(mu, np.zeros(3), 1, Rng(0))
     assert np.array_equal(z, mu)
 
 
 def test_sample_latent_deterministic():
     mu = np.zeros(4)
     sigma = np.full(4, 0.7)
-    assert np.array_equal(sample_latent((mu, sigma), Rng(3)), sample_latent((mu, sigma), Rng(3)))
+    assert np.array_equal(sample_latent(mu, sigma, 1, Rng(3)), sample_latent(mu, sigma, 1, Rng(3)))
 
 
 def test_sample_latent_negative_sigma_rejected():
     with pytest.raises(ValueError):
-        sample_latent((np.zeros(2), np.array([0.1, -0.2])), Rng(0))
+        sample_latent(np.zeros(2), np.array([0.1, -0.2]), 1, Rng(0))
 
 
 def test_sample_latent_mean_statistics():
     mu = np.array([1.0, -2.0])
     sigma = np.array([0.5, 1.5])
     rng = Rng(77)
-    draws = np.stack([sample_latent((mu, sigma), rng) for _ in range(10_000)])
+    draws, _ = sample_latent(mu, sigma, 10_000, rng)
     # per-coordinate mean within 3*sigma/100 of mu
     bound = 3.0 * sigma / 100.0
     assert np.all(np.abs(draws.mean(axis=0) - mu) < bound)
@@ -153,10 +153,10 @@ def test_sample_latent_mean_statistics():
 
 def test_map_save_load_roundtrip(tmp_path):
     rng = Rng(5)
-    smap = SemanticMap(rng.normal((7, 5, 3)), scene_id="x")
+    smap = SemanticMap(rng.normal((7, 5, 3)))
     path = tmp_path / "grid.map"
     save_map(path, smap)
-    loaded = load_map(path, scene_id="x")
+    loaded = load_map(path)
     assert loaded.grid.shape == (7, 5, 3)
     assert np.array_equal(loaded.grid, smap.grid)
 
