@@ -62,7 +62,6 @@ class ModelConfig:
     conv_kernels: tuple = (10, 10, 1)
     conv_strides: tuple = (6, 4, 1)
     sigma_bias: float = 0.0  # init of the sigma-half FC bias; negative starts near-deterministic
-    relation_mode: str = "signed"
 
 
 class DecoderParams:
@@ -156,8 +155,7 @@ class MotionModel:
             hidden, cell = push_pop(hidden, cell, h_t, c_t)
             refine_cache = None
             if self.social is not None:
-                hidden, refine_cache = refine_forward(
-                    hidden, self.social, mode=self.cfg.relation_mode)
+                hidden, refine_cache = refine_forward(hidden, self.social)
             features[:, t] = hidden[:, -1]
             if want_cells:
                 cells[:, t] = cell[:, -1]

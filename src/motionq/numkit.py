@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 COSINE_EPS = 1e-12
+# grad_check's error floor, in units of the central difference's rounding
+# noise, float64 machine epsilon * |loss| / eps (set from check_full's spread)
+FD_NOISE_UNITS = 4e4
 
 
 def check_finite(arr, name="array"):
@@ -257,8 +260,12 @@ def grad_check(f, store, eps=1e-5, f_value=None):
     forward-only variant used for the perturbed evaluations. f must be
     deterministic: freeze any RNG it consumes.
 
-    Returns the maximum relative error |a - n| / max(|a|, |n|, 1e-8) over
-    every parameter entry.
+    Returns the maximum relative error |a - n| / max(|a|, |n|, floor) over
+    every parameter entry. A central difference of a loss L at step eps
+    carries rounding noise of order machine-eps * |L| / eps, amplified by the
+    length of the computation, and floor is FD_NOISE_UNITS times that unit:
+    an entry whose gradient is below the noise is judged by its error against
+    the floor, not against its own size.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError(f"eps out of range [1e-7, 1e-3]: {eps}")
@@ -268,6 +275,7 @@ def grad_check(f, store, eps=1e-5, f_value=None):
     base = float(f(store))
     if not np.isfinite(base):
         raise FloatingPointError("loss is non-finite at the evaluation point")
+    floor = FD_NOISE_UNITS * np.finfo(np.float64).eps * abs(base) / eps
     analytic = {name: store.grad(name).copy() for name in store.names()}
     worst = 0.0
     for name in store.names():
@@ -283,7 +291,8 @@ def grad_check(f, store, eps=1e-5, f_value=None):
             if not (np.isfinite(fp) and np.isfinite(fm)):
                 raise FloatingPointError(f"loss non-finite while perturbing {name}[{idx}]")
             numeric = (fp - fm) / (2.0 * eps)
-            rel = abs(aflat[idx] - numeric) / max(abs(aflat[idx]), abs(numeric), 1e-8)
+            scale = max(abs(aflat[idx]), abs(numeric), floor)
+            rel = abs(aflat[idx] - numeric) / scale if scale > 0.0 else 0.0
             if rel > worst:
                 worst = rel
     return worst

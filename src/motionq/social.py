@@ -2,26 +2,23 @@
 
 Each agent's queued hidden vector at frame offset s is replaced by a residual
 sum over the same-offset entries of every agent in the scene, itself
-included, weighted by a learned pairwise relation score:
+included, weighted by a softmax over learned pairwise relation scores:
 
     rel(x_i, x_j) = (W_theta x_i) . (W_phi x_j)
-    x_i <- x_i + (1/Z_i) * sum_j rel(x_i, x_j) * (W_g x_j),   Z_i = sum_j rel(x_i, x_j)
+    x_i <- x_i + sum_j softmax_j(rel(x_i, x_j)) * (W_g x_j)
 
-This is the dot-product relation of Non-local Neural Networks (Wang et al.,
-CVPR 2018), taken over agents at one offset. All (slot, agent) pairs are
-refined at once: the projections T, P and G are (q, n, h) arrays and the
-scores and weights are (q, n, n) arrays. Every stacked product makes the same
-BLAS call per (slot, agent) as a per-agent loop would (a gemv for P @ T[i]
-and for w @ G, a dot for w . dw), and the backward adds its rank-1 terms in
-agent order, so forward and backward are bitwise equal to that loop, which
-tests/test_social.py keeps as the oracle. No gemm such as T @ P.T or
-W.T @ dY is used: it would reassociate the sums.
+This is the embedded-Gaussian relation of Non-local Neural Networks (Wang et
+al., CVPR 2018), taken over agents at one offset: the weights of each agent
+are positive and sum to one, so no score sum can vanish. All (slot, agent)
+pairs are refined at once: the projections T, P and G are (q, n, h) arrays
+and the scores and weights are (q, n, n) arrays. Every stacked product makes
+the same BLAS call per (slot, agent) as a per-agent loop would (a gemv for
+P @ T[i] and for w @ G, a dot for w . dw), and the backward adds its rank-1
+terms in agent order, so forward and backward are bitwise equal to that
+loop, which tests/test_social.py keeps as the oracle. No gemm such as
+T @ P.T or W.T @ dY is used: it would reassociate the sums.
 
 Only the (n, q, h) hidden array is refined; cell queues are not an input.
-The raw relation scores can sum to zero or a negative value; when
-|Z| < Z_EPS the refinement for that (agent, slot) is skipped and the entry
-kept as-is. A softmax weighting over the scores is
-available behind relation_mode="softmax".
 """
 
 from __future__ import annotations
@@ -33,8 +30,6 @@ __all__ = [
     "refine_forward",
     "refine_backward",
 ]
-
-Z_EPS = 1e-8
 
 
 class SocialParams:
@@ -52,22 +47,19 @@ class SocialParams:
 
 
 class RefineCache:
-    __slots__ = ("params", "X", "T", "P", "G", "W", "Z", "keep", "mode", "used")
+    __slots__ = ("params", "X", "T", "P", "G", "W", "used")
 
-    def __init__(self, params, X, T, P, G, W, Z, keep, mode):
+    def __init__(self, params, X, T, P, G, W):
         self.params = params
         self.X = X
         self.T = T
         self.P = P
         self.G = G
         self.W = W
-        self.Z = Z
-        self.keep = keep
-        self.mode = mode
         self.used = False
 
 
-def refine_forward(hidden, params, mode="signed"):
+def refine_forward(hidden, params):
     """Refine the (n, q, h) hidden queues; returns (refined copy, cache for backward).
 
     All reads use the pre-refinement input (no sequential aliasing), which is
@@ -82,23 +74,12 @@ def refine_forward(hidden, params, mode="signed"):
     P = Xs @ params.W_phi.T
     G = Xs @ params.W_g.T
     R = np.matmul(P[:, None], T[..., None])[..., 0]  # R[s, i] = P[s] @ T[s, i]
-
-    if mode == "signed":
-        Z = R.sum(axis=2)
-        keep = ~(np.abs(Z) < Z_EPS)
-        W = np.divide(R, Z[..., None], out=np.zeros_like(R), where=keep[..., None])
-    elif mode == "softmax":
-        E = np.exp(R - R.max(axis=2, keepdims=True))
-        Z = E.sum(axis=2)
-        keep = np.ones(Z.shape, dtype=bool)
-        W = E / Z[..., None]
-    else:
-        raise ValueError(f"unknown relation mode: {mode}")
+    E = np.exp(R - R.max(axis=2, keepdims=True))
+    W = E / E.sum(axis=2)[..., None]
 
     update = Xs + np.matmul(W[:, :, None], G[:, None])[:, :, 0]  # w @ G per (s, i)
-    refined = np.where(keep.T[..., None], update.transpose(1, 0, 2), X)
-    cache = RefineCache(params, X, T, P, G, W, Z, keep, mode)
-    return refined, cache
+    refined = np.ascontiguousarray(update.transpose(1, 0, 2))
+    return refined, RefineCache(params, X, T, P, G, W)
 
 
 def refine_backward(cache, d_hidden_out, params):
@@ -107,8 +88,7 @@ def refine_backward(cache, d_hidden_out, params):
     d_hidden_out is (n, q, h) aligned with the refined queues. Accumulates
     into the W_theta / W_phi / W_g gradient slots and returns the (n, q, h)
     gradient for the input queues. Cells are not refined, so their
-    gradients need no backward here. A skipped (agent, slot) has zero
-    weights and passes only the identity gradient.
+    gradients need no backward here.
     """
     if cache.used:
         raise ValueError("stale cache: backward already consumed this refinement")
@@ -120,11 +100,7 @@ def refine_backward(cache, d_hidden_out, params):
     dY = np.asarray(d_hidden_out, dtype=np.float64).transpose(1, 0, 2)
     dW = np.matmul(G[:, None], dY[..., None])[..., 0]         # G[s] @ dY[s, i]
     wdw = np.matmul(W[:, :, None], dW[..., None])[..., 0]      # w . dw per (s, i)
-    if cache.mode == "signed":
-        dR = np.divide(dW - wdw, cache.Z[..., None], out=np.zeros_like(dW),
-                       where=cache.keep[..., None])
-    else:
-        dR = W * (dW - wdw)
+    dR = W * (dW - wdw)                                       # softmax Jacobian
     dT = np.matmul(dR[:, :, None], P[:, None])[:, :, 0]      # dr @ P per (s, i)
     dP = (dR[..., None] * T[:, :, None]).sum(axis=1)         # sum over i of outer(dr_i, T_i)
     dG = (W[..., None] * dY[:, :, None]).sum(axis=1)         # sum over i of outer(w_i, dy_i)

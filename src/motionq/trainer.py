@@ -42,10 +42,8 @@ CHECKPOINT_MAGIC = b"checkpoint-v2\n"
 LEGACY_MAGIC = b"checkpoint-v1\n"  # text tensor blocks, still read
 # tensors renamed since v1 files were first written: old name -> name now
 LEGACY_TENSOR_NAMES = {f"decoder.{kind}_i": f"decoder.{kind}_g" for kind in ("W", "U", "b")}
-CHOICES = {
-    "precision": ("32", "64"),
-    "relation_mode": ("signed", "softmax"),
-}
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 # keys that configs stored in older checkpoints carry but TrainConfig no
 # longer has: key -> the one stored value that still loads, being what the
 # code now always does (None: any value, as the key never changed a number)
@@ -55,6 +53,7 @@ RETIRED_KEYS = {
     "adam_eps": "1e-08",
     "dataset": None,
     "eval_samples": None,
+    "relation_mode": "softmax",
     "sigma_transform": "sigmoid",
     "variety_mode": "concat",
 }
@@ -73,7 +72,6 @@ class TrainConfig:
     map_size: int = 64
     map_channels: int = 2
     sigma_bias: float = 0.0
-    relation_mode: str = "signed"
     lam: float = 0.1
     margin: float = 0.5
     m: int = 20
@@ -94,10 +92,8 @@ class TrainConfig:
             raise ValueError("lr must be positive")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        for name, allowed in CHOICES.items():
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {', '.join(allowed)}, "
-                                 f"got {getattr(self, name)!r}")
+        if self.precision not in ("32", "64"):
+            raise ValueError(f"precision must be one of 32, 64, got {self.precision!r}")
         self.loss_config()  # checks lam, margin, m and pairs_per_batch
 
     def model_config(self):
@@ -106,7 +102,7 @@ class TrainConfig:
             obs_len=self.obs_len, pred_len=self.pred_len,
             use_social=self.use_social, use_latent=self.use_latent,
             map_size=self.map_size, map_channels=self.map_channels,
-            sigma_bias=self.sigma_bias, relation_mode=self.relation_mode,
+            sigma_bias=self.sigma_bias,
         )
 
     def loss_config(self):
@@ -178,12 +174,13 @@ class AdamState:
         self.v = {name: np.zeros_like(store.value(name)) for name in store.names()}
 
 
-def adam_step(store, state, lr, betas=(0.9, 0.999), eps=1e-8):
-    """Bias-corrected Adam update applied in place to every parameter."""
+def adam_step(store, state, lr):
+    """Bias-corrected Adam update (ADAM_BETAS, ADAM_EPS) applied in place to
+    every parameter."""
     bad = store.first_nonfinite_grad()
     if bad is not None:
         raise FloatingPointError(f"non-finite gradient in parameter {bad!r}")
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.t += 1
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
@@ -195,7 +192,7 @@ def adam_step(store, state, lr, betas=(0.9, 0.999), eps=1e-8):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        store.value(name)[...] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        store.value(name)[...] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def train(cfg: TrainConfig, scenes, out_dir, log=None, resume=None):

@@ -606,8 +606,37 @@ def test_end_to_end_gradient():
     assert gradchecks.check_full() < 1e-4
 
 
-# seeds chosen per combination to keep the sweep clear of the FD roundoff
-# floor on near-zero gradient entries (see gradchecks.micro_model_and_scene)
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_end_to_end_gradient_at_other_seeds(seed):
+    # the bound holds at every point, not at one lucky seed
+    assert gradchecks.check_full(seed) < 1e-4
+
+
+# one gradient slot a backward adds to, given the backward's arguments
+WRONG_BACKWARD_SLOTS = {
+    "refine_backward": lambda args: args[2].dW_theta,
+    "cell_backward": lambda args: args[3].dU["f"],
+    "encode_scene_backward": lambda args: args[3].db_fc,
+    "coherence_backward": lambda args: args[2],  # the features' gradient
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_BACKWARD_SLOTS))
+def test_end_to_end_gradient_flags_a_backward_wrong_by_a_thousandth(monkeypatch, name):
+    # every increment the backward adds to its slot is 1e-3 too large
+    right, slot_of = getattr(model_module, name), WRONG_BACKWARD_SLOTS[name]
+
+    def wrong(*args):
+        slot = slot_of(args)
+        before = slot.copy()
+        out = right(*args)
+        slot += 1e-3 * (slot - before)
+        return out
+
+    monkeypatch.setattr(model_module, name, wrong)
+    assert gradchecks.check_full() > 1e-4
+
+
 @pytest.mark.parametrize("social,latent,seed",
                          [(False, True, 10), (True, False, 5), (False, False, 3)])
 def test_loss_grad_without_social_or_latent(social, latent, seed):
