@@ -7,15 +7,10 @@ own forget gate (one shared set of forget weights evaluated against each
 queued hidden entry). With q=1 the step reduces exactly to a vanilla LSTM
 cell.
 
-All agents of a scene step together: their queues are two (n, q, h) arrays.
-The forward runs every product as one matrix-vector product per agent
-(numkit.rowwise), so each agent's numbers are bitwise what its step alone
-would give. The backward runs each product as one matrix product over all
-agents, which sums the per-agent terms of a parameter gradient in another
-order than a per-agent loop would.
-
-The model's decoder steps this same cell at q = 1 (a mean over one slot is
-exact, so its forward is bitwise the vanilla LSTM's).
+All agents of a scene step together: their queues are two (n, q, h) arrays,
+and every product below is one matrix product over all agents (for U_f, over
+all agents and slots). The model's decoder steps this same cell at q = 1,
+where it is the vanilla LSTM.
 
     g = sigmoid(W_g m + U_g mean(hidden) + b_g)      input gate
     o = sigmoid(W_o m + U_o mean(hidden) + b_o)      output gate
@@ -29,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numkit import rowwise, sigmoid
+from .numkit import sigmoid
 
 __all__ = ["CellParams", "CellCache", "cell_forward", "cell_backward"]
 
@@ -101,21 +96,16 @@ def cell_forward(m_t, hidden, cell, params):
     if hidden.shape[0] != m_t.shape[0] or hidden.shape[2] != params.h:
         raise ValueError(f"queues {hidden.shape} do not match {m_t.shape[0]} inputs "
                          f"and cell h={params.h}")
-    q = hidden.shape[1]
+    n, q, h = hidden.shape
     W, U, b = params.W, params.U, params.b
     h_tilde = hidden.mean(axis=1)
 
-    g = sigmoid(rowwise(W["g"], m_t) + rowwise(U["g"], h_tilde) + b["g"])
-    o = sigmoid(rowwise(W["o"], m_t) + rowwise(U["o"], h_tilde) + b["o"])
-    u = np.tanh(rowwise(W["u"], m_t) + rowwise(U["u"], h_tilde) + b["u"])
-
-    wf_m = rowwise(W["f"], m_t)
-    f = np.empty_like(hidden)
-    c_t = g * u
-    for idx in range(q - 1, -1, -1):  # newest slot first
-        f_idx = sigmoid(wf_m + rowwise(U["f"], hidden[:, idx]) + b["f"])
-        f[:, idx] = f_idx
-        c_t = c_t + f_idx * cell[:, idx]
+    g = sigmoid(m_t @ W["g"].T + h_tilde @ U["g"].T + b["g"])
+    o = sigmoid(m_t @ W["o"].T + h_tilde @ U["o"].T + b["o"])
+    u = np.tanh(m_t @ W["u"].T + h_tilde @ U["u"].T + b["u"])
+    uf_hidden = (hidden.reshape(n * q, h) @ U["f"].T).reshape(n, q, h)
+    f = sigmoid((m_t @ W["f"].T)[:, None] + uf_hidden + b["f"])  # one gate per slot
+    c_t = g * u + (f * cell).sum(axis=1)
     tanh_c = np.tanh(c_t)
     h_t = o * tanh_c
 
@@ -156,9 +146,6 @@ def cell_backward(cache, d_h, d_c, params):
     da_f_sum = da_f.sum(axis=1)
     da_f_rows = da_f.reshape(n * q, h)  # every (agent, slot) pair as one row
 
-    # These sums fix the backward's rounding and so every trained number.
-    # Acceptance criterion 6 passes or fails on rounding alone (CHANGES.md),
-    # so keep the order: g, u, o, then f.
     d_htilde = da_g @ U["g"] + da_u @ U["u"] + da_o @ U["o"]
     d_hidden = d_htilde[:, None] * (1.0 / q) + (da_f_rows @ U["f"]).reshape(n, q, h)
     d_cell = dc[:, None] * f

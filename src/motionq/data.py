@@ -106,12 +106,24 @@ class SceneBatch:
         return f"SceneBatch({self.scene_id!r}, n={self.n_agents}, frames={self.total_len})"
 
 
+def _integer_id(text, name):
+    """An id field as an int; integral floats such as 780.0 are accepted."""
+    value = float(text)
+    if not value.is_integer():  # also false for inf and nan
+        raise ValueError(f"{name} {text!r} is not an integer")
+    return int(value)
+
+
 def load_trajectories(path):
     """Parse a trajectory file into records sorted by (frame_id, agent_id)."""
     records = []
     seen = set()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue
@@ -119,8 +131,8 @@ def load_trajectories(path):
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 'frame_id agent_id x y', got {line.rstrip()!r}")
             try:
-                frame = int(float(parts[0]))
-                agent = int(float(parts[1]))
+                frame = _integer_id(parts[0], "frame_id")
+                agent = _integer_id(parts[1], "agent_id")
                 x = float(parts[2])
                 y = float(parts[3])
             except ValueError as exc:

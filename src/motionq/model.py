@@ -6,9 +6,9 @@ cell: one queue-gated cell step for all agents, then a queue push/pop, then
 final hidden features are fused with a scene-conditioned latent draw and
 rolled out by the same cell at q = 1, the vanilla LSTM, which emits per-frame
 displacements and feeds each one back as the next input. All m x n (sample,
-agent) rows roll out together, one matrix-vector product per row, so each row
-is bitwise the rollout it would be alone; training backpropagates all rows in
-one pass, with zero upstream gradient off each agent's best-of-m row.
+agent) rows roll out together, one matrix product per projection; training
+backpropagates all rows in one pass, with zero upstream gradient off each
+agent's best-of-m row.
 Absolute positions are cumulative sums from the last observed position, which
 makes every prediction translate exactly with the inputs.
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .cell import CellParams, cell_forward, cell_backward
 from .data import to_relative
-from .numkit import ParamStore, rowwise
+from .numkit import ParamStore
 from .objectives import (
     coherence_forward,
     coherence_backward,
@@ -210,14 +210,14 @@ class MotionModel:
         n, m = h_obs.shape[0], z.shape[0]
         dec = self.decoder
         s = np.concatenate([np.tile(h_obs, (m, 1)), np.repeat(z, n, axis=0)], axis=1)
-        h = np.tanh(rowwise(dec.W_fuse, s) + dec.b_fuse)
+        h = np.tanh(s @ dec.W_fuse.T + dec.b_fuse)
         c = np.zeros_like(h)
         x = np.tile(np.asarray(last_disp, dtype=np.float64), (m, 1))
         disps = np.zeros((m * n, steps, 2))
         cache = (s, h, []) if want_cache else None
         for t in range(steps):
             h, c, cell_cache = cell_forward(x, h[:, None], c[:, None], dec.cell)
-            x = rowwise(dec.W_out, h) + dec.b_out
+            x = h @ dec.W_out.T + dec.b_out
             disps[:, t] = x
             if want_cache:
                 cache[2].append((cell_cache, h, c))
@@ -323,7 +323,7 @@ class MotionModel:
 
         if latent is not None:
             d_mu = d_zs.sum(axis=0)
-            d_sigma = np.cumsum(d_zs * eps, axis=0)[-1]  # summed in draw order
+            d_sigma = (d_zs * eps).sum(axis=0)
             encode_scene_backward(scene_cache, d_mu, d_sigma, self.scene_enc)
 
         self._observe_backward(state, d_h_obs, d_features)

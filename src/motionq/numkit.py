@@ -9,12 +9,14 @@ float32 through the ParamStore dtype.
 
 from __future__ import annotations
 
+import math
+import os
+
 import numpy as np
 
 __all__ = [
     "check_finite",
     "sigmoid",
-    "rowwise",
     "relu",
     "cosine_sim",
     "cosine_sim_grad",
@@ -46,16 +48,6 @@ def sigmoid(x):
     return np.where(pos, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
-def rowwise(W, X):
-    """W @ X[r] for every row r of X, as one matrix-vector product per row.
-
-    np.matmul over a stack of columns runs the same BLAS gemv per row as
-    `W @ x` does, so each row is bitwise what it would be alone; X @ W.T
-    (one gemm) would reassociate the sums.
-    """
-    return np.matmul(W, X[:, :, None])[:, :, 0]
-
-
 def relu(x):
     return np.maximum(x, 0.0)
 
@@ -74,13 +66,6 @@ def cosine_sim(a, b, eps=COSINE_EPS):
     return float(min(1.0, max(-1.0, c)))
 
 
-def _rowdot(a, b):
-    """Dot product of each row pair of two (k, h) arrays: a stacked matrix
-    product runs the same BLAS dot per row as np.dot (and np.linalg.norm)
-    on one vector, so each row is bitwise what it would be alone."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def cosine_sim_grad(a, b, eps=COSINE_EPS):
     """Row-wise cosine similarity plus its gradients w.r.t. both rows.
 
@@ -93,11 +78,11 @@ def cosine_sim_grad(a, b, eps=COSINE_EPS):
     if a.ndim != 2 or a.shape != b.shape:
         raise ValueError(f"cosine_sim_grad expects equal-shape (k, h) rows, "
                          f"got {a.shape} and {b.shape}")
-    na = np.sqrt(_rowdot(a, a))
-    nb = np.sqrt(_rowdot(b, b))
+    na = np.sqrt((a * a).sum(axis=1))
+    nb = np.sqrt((b * b).sum(axis=1))
     dead = (na < eps) | (nb < eps)
     na[dead] = nb[dead] = 1.0  # placeholders: dead rows are zeroed below
-    c = _rowdot(a, b) / (na * nb)
+    c = (a * b).sum(axis=1) / (na * nb)
     c[dead] = 0.0
     da = b / (na * nb)[:, None] - c[:, None] * a / (na * na)[:, None]
     db = a / (na * nb)[:, None] - c[:, None] * b / (nb * nb)[:, None]
@@ -230,7 +215,14 @@ def write_tensors(fh, mapping):
 
 
 def read_tensors(fh):
-    """Inverse of write_tensors; raises ValueError on a malformed block."""
+    """Inverse of write_tensors; raises ValueError on a malformed block.
+
+    fh must be seekable: each declared payload size is checked against the
+    bytes left in the stream before anything is allocated for it.
+    """
+    start = fh.tell()
+    end = fh.seek(0, os.SEEK_END)
+    fh.seek(start)
     head = fh.readline().split()
     if len(head) != 2 or head[0] != b"tensors" or not head[1].isdigit():
         raise ValueError("bad tensor block header")
@@ -245,9 +237,11 @@ def read_tensors(fh):
         if dtype is None:
             raise ValueError(f"tensor {name}: unknown dtype {parts[2]!r}")
         shape = tuple(int(d) for d in dims)
-        payload = bytearray(int(np.prod(shape, dtype=np.int64)) * dtype.itemsize)
-        if fh.readinto(payload) != len(payload):
+        size = math.prod(shape) * dtype.itemsize
+        if size > end - fh.tell():
             raise ValueError(f"tensor {name}: truncated payload")
+        payload = bytearray(size)
+        fh.readinto(payload)
         out[name] = np.frombuffer(payload, dtype=dtype).reshape(shape)
     return out
 

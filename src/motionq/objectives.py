@@ -9,9 +9,7 @@ over the m samples. Metrics: ADE, FDE and the temporal correlation
 coefficient (mean Pearson correlation per axis between predicted and true
 coordinate sequences), computed for all agents at once, one
 MetricsReport aggregation for one scene or many, plus the non-linear
-trajectory filter used for hard-subset reports. Every sum adds in the
-order a per-pair or per-agent loop would, so each number is bitwise that
-loop's (the tests keep such loops as oracles).
+trajectory filter used for hard-subset reports.
 """
 
 from __future__ import annotations
@@ -82,7 +80,7 @@ def coherence_forward(features, q, cfg, rng):
     agent. Pairs within the queue length contribute 1 - cos, pairs at or
     beyond it contribute max(0, cos - margin). All pairs are drawn at once as
     (agent, frame, other frame) triples, the stream one scalar draw per value
-    would consume, and the value sums the contributions in pair order.
+    would consume, and the value is the mean contribution.
     """
     features = np.asarray(features, dtype=np.float64)
     n, t, _ = features.shape
@@ -96,13 +94,12 @@ def coherence_forward(features, q, cfg, rng):
     hinge = c - cfg.margin
     terms = np.where(near, 1.0 - c, np.where(hinge > 0, hinge, 0.0))
     scale = np.where(near, -1.0, np.where(hinge > 0, 1.0, 0.0))
-    value = float(np.cumsum(terms)[-1] / cfg.pairs_per_batch)
+    value = float(terms.sum() / cfg.pairs_per_batch)
     return value, (agent, t1, t2, scale, da, db)
 
 
 def coherence_backward(cache, d_value, features_grad):
-    """Accumulate d(value)/d(features) into features_grad, shape (n, t, h),
-    pair by pair in sampling order."""
+    """Accumulate d(value)/d(features) into features_grad, shape (n, t, h)."""
     if cache is None:
         return
     agent, t1, t2, scale, da, db = cache

@@ -10,13 +10,9 @@ included, weighted by a softmax over learned pairwise relation scores:
 This is the embedded-Gaussian relation of Non-local Neural Networks (Wang et
 al., CVPR 2018), taken over agents at one offset: the weights of each agent
 are positive and sum to one, so no score sum can vanish. All (slot, agent)
-pairs are refined at once: the projections T, P and G are (q, n, h) arrays
-and the scores and weights are (q, n, n) arrays. Every stacked product makes
-the same BLAS call per (slot, agent) as a per-agent loop would (a gemv for
-P @ T[i] and for w @ G, a dot for w . dw), and the backward adds its rank-1
-terms in agent order, so forward and backward are bitwise equal to that
-loop, which tests/test_social.py keeps as the oracle. No gemm such as
-T @ P.T or W.T @ dY is used: it would reassociate the sums.
+pairs are refined at once: the projections T, P and G are (q, n, h) arrays,
+the scores R = T P^T and weights W are (q, n, n) arrays, and the update is
+W G, one matrix product per slot.
 
 Only the (n, q, h) hidden array is refined; cell queues are not an input.
 """
@@ -73,12 +69,10 @@ def refine_forward(hidden, params):
     T = Xs @ params.W_theta.T
     P = Xs @ params.W_phi.T
     G = Xs @ params.W_g.T
-    R = np.matmul(P[:, None], T[..., None])[..., 0]  # R[s, i] = P[s] @ T[s, i]
+    R = T @ P.transpose(0, 2, 1)  # R[s, i, j] = rel(x_i, x_j) at offset s
     E = np.exp(R - R.max(axis=2, keepdims=True))
-    W = E / E.sum(axis=2)[..., None]
-
-    update = Xs + np.matmul(W[:, :, None], G[:, None])[:, :, 0]  # w @ G per (s, i)
-    refined = np.ascontiguousarray(update.transpose(1, 0, 2))
+    W = E / E.sum(axis=2, keepdims=True)
+    refined = np.ascontiguousarray((Xs + W @ G).transpose(1, 0, 2))
     return refined, RefineCache(params, X, T, P, G, W)
 
 
@@ -98,18 +92,17 @@ def refine_backward(cache, d_hidden_out, params):
 
     T, P, G, W = cache.T, cache.P, cache.G, cache.W
     dY = np.asarray(d_hidden_out, dtype=np.float64).transpose(1, 0, 2)
-    dW = np.matmul(G[:, None], dY[..., None])[..., 0]         # G[s] @ dY[s, i]
-    wdw = np.matmul(W[:, :, None], dW[..., None])[..., 0]      # w . dw per (s, i)
-    dR = W * (dW - wdw)                                       # softmax Jacobian
-    dT = np.matmul(dR[:, :, None], P[:, None])[:, :, 0]      # dr @ P per (s, i)
-    dP = (dR[..., None] * T[:, :, None]).sum(axis=1)         # sum over i of outer(dr_i, T_i)
-    dG = (W[..., None] * dY[:, :, None]).sum(axis=1)         # sum over i of outer(w_i, dy_i)
+    dW = dY @ G.transpose(0, 2, 1)
+    dR = W * (dW - (W * dW).sum(axis=2, keepdims=True))  # softmax Jacobian
+    dT = dR @ P
+    dP = dR.transpose(0, 2, 1) @ T
+    dG = W.transpose(0, 2, 1) @ dY
 
-    Xs = cache.X.transpose(1, 0, 2)
-    for s in range(len(Xs)):
-        params.dW_theta += dT[s].T @ Xs[s]
-        params.dW_phi += dP[s].T @ Xs[s]
-        params.dW_g += dG[s].T @ Xs[s]
+    q, n, h = dY.shape
+    Xs = cache.X.transpose(1, 0, 2).reshape(q * n, h)  # every (slot, agent) as one row
+    params.dW_theta += dT.reshape(q * n, h).T @ Xs
+    params.dW_phi += dP.reshape(q * n, h).T @ Xs
+    params.dW_g += dG.reshape(q * n, h).T @ Xs
     dX = dY + dT @ params.W_theta
     dX += dP @ params.W_phi
     dX += dG @ params.W_g

@@ -5,19 +5,20 @@ TrainConfig field names. Checkpoints (``checkpoint-v2``) are a text header
 carrying the config, the epoch and the training random streams, followed by
 every parameter tensor and the optimizer moments as raw little-endian bytes,
 so a reload reproduces forward outputs and resumed training bit for bit at
-the same precision. Older text ``checkpoint-v1`` files still load.
+the same precision.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .model import ModelConfig, MotionModel
-from .numkit import TENSOR_DTYPES, Rng, read_tensors, write_tensors
+from .numkit import Rng, read_tensors, write_tensors
 from .objectives import (
     LossConfig,
     aggregate_metrics,
@@ -39,9 +40,6 @@ __all__ = [
 
 BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 CHECKPOINT_MAGIC = b"checkpoint-v2\n"
-LEGACY_MAGIC = b"checkpoint-v1\n"  # text tensor blocks, still read
-# tensors renamed since v1 files were first written: old name -> name now
-LEGACY_TENSOR_NAMES = {f"decoder.{kind}_i": f"decoder.{kind}_g" for kind in ("W", "U", "b")}
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 # keys that configs stored in older checkpoints carry but TrainConfig no
@@ -88,6 +86,9 @@ class TrainConfig:
         for name in ("h", "z_dim", "q", "dec_h", "obs_len", "pred_len", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("lr", "lam", "margin", "sigma_bias"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.lr > 0:
             raise ValueError("lr must be positive")
         if self.checkpoint_every < 0:
@@ -285,15 +286,14 @@ def _resume(cfg, path, streams):
     return model, state, epoch + 1
 
 
-def evaluate(model, scenes, m, seed=1234, nonlinear_only=False, nonlinear_threshold=0.1,
-             horizons=()):
+def evaluate(model, scenes, m, seed=1234, nonlinear_only=False, horizons=()):
     """Best-of-m metrics aggregated over every agent of every scene."""
     rng = Rng(seed)
     stats = []
     for scene in scenes:
         preds = model.predict(scene, m, rng).positions
         keep = [i for i in range(scene.n_agents) if not nonlinear_only
-                or nonlinear_filter(scene.positions[i], threshold=nonlinear_threshold)]
+                or nonlinear_filter(scene.positions[i])]
         if keep:
             stats.append(per_agent_best_metrics(scene.future()[keep], preds[:, keep],
                                                 horizons=horizons))
@@ -336,50 +336,43 @@ def save_checkpoint(path, store, state, cfg, epoch, streams=None):
 def load_checkpoint(path):
     """Returns (cfg, model, AdamState, epoch) with parameters loaded in place.
 
-    Reads checkpoint-v2 files and the older text checkpoint-v1 files. The
-    stored hash is checked against the stored config text, and a malformed
-    or truncated file raises ValueError naming `path`. Files written before
-    a config key was retired still load: each RETIRED_KEYS line is dropped
-    if its value is one the code still behaves as, and raises ValueError
-    naming `path` and the key otherwise. The decoder's `_i` tensor names of
-    older v1 files are renamed.
+    Reads checkpoint-v2 files. The stored hash is checked against the
+    stored config text, and a malformed or truncated file raises ValueError
+    naming `path`. Files written before a config key was retired still load:
+    each RETIRED_KEYS line is dropped if its value is one the code still
+    behaves as, and raises ValueError naming `path` and the key otherwise.
     """
     return _read_checkpoint(path)[:4]
 
 
 def _read_checkpoint(path):
     """load_checkpoint's result plus the stored random streams, as a dict of
-    name -> PCG64 state (empty for v1 files and saves without streams)."""
+    name -> PCG64 state (empty for saves without streams)."""
     try:
         with open(path, "rb") as fh:
-            magic = fh.readline()
-            if magic not in (CHECKPOINT_MAGIC, LEGACY_MAGIC):
+            if fh.readline() != CHECKPOINT_MAGIC:
                 raise ValueError("not a checkpoint file")
             digest = _header_field(fh, "hash")
             epoch = int(_header_field(fh, "epoch"))
             adam_t = int(_header_field(fh, "adam-t"))
             streams = {}
-            if magic == CHECKPOINT_MAGIC:
-                for _ in range(int(_header_field(fh, "streams"))):
-                    name, *nums = _header_field(fh, "stream").split()
-                    if len(nums) != 4:
-                        raise ValueError(f"stream {name}: expected 4 state integers")
-                    st, inc, has_uint32, uinteger = (int(v) for v in nums)
-                    streams[name] = {"bit_generator": "PCG64",
-                                     "state": {"state": st, "inc": inc},
-                                     "has_uint32": has_uint32, "uinteger": uinteger}
+            for _ in range(int(_header_field(fh, "streams"))):
+                name, *nums = _header_field(fh, "stream").split()
+                if len(nums) != 4:
+                    raise ValueError(f"stream {name}: expected 4 state integers")
+                st, inc, has_uint32, uinteger = (int(v) for v in nums)
+                streams[name] = {"bit_generator": "PCG64",
+                                 "state": {"state": st, "inc": inc},
+                                 "has_uint32": has_uint32, "uinteger": uinteger}
             n_lines = int(_header_field(fh, "config-lines"))
             cfg_bytes = b"".join(fh.readline() for _ in range(n_lines))
             if hashlib.sha256(cfg_bytes).hexdigest() != digest:
                 raise ValueError("config hash mismatch")
             cfg = TrainConfig.from_text(_drop_retired(cfg_bytes.decode()))
-            read = read_tensors if magic == CHECKPOINT_MAGIC else _read_v1_tensors
-            blocks = [read(fh) for _ in range(3)]  # parameters, Adam m, Adam v
+            # parameters, Adam m, Adam v
+            values, moments_m, moments_v = (read_tensors(fh) for _ in range(3))
             if fh.read(1):
                 raise ValueError("trailing bytes after the third tensor block")
-        values, moments_m, moments_v = (
-            {LEGACY_TENSOR_NAMES.get(name, name): arr for name, arr in block.items()}
-            for block in blocks)
         model = build_model(cfg)
         model.store.load_values(values)
         if set(moments_m) != set(values) or set(moments_v) != set(values):
@@ -414,26 +407,3 @@ def _header_field(fh, key):
     if found != key or not value:
         raise ValueError(f"expected a {key!r} header line, got {line[:60]!r}")
     return value
-
-
-def _read_v1_tensors(fh):
-    """One hex-float text tensor block of a checkpoint-v1 file."""
-    head = fh.readline().split()
-    if len(head) != 2 or head[0] != b"tensors":
-        raise ValueError("bad tensor block header")
-    out = {}
-    for _ in range(int(head[1])):
-        parts = fh.readline().decode("ascii", "replace").split()
-        if len(parts) < 4 or parts[0] != "tensor" or parts[2] not in TENSOR_DTYPES:
-            raise ValueError("bad tensor header line")
-        name, dtype, ndim = parts[1], parts[2], int(parts[3])
-        shape = tuple(int(d) for d in parts[4:4 + ndim])
-        n = int(np.prod(shape)) if shape else 1
-        vals = []
-        while len(vals) < n:
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"tensor {name}: truncated payload")
-            vals.extend(float.fromhex(tok) for tok in line.decode("ascii").split())
-        out[name] = np.array(vals, dtype=np.dtype(dtype)).reshape(shape)
-    return out

@@ -26,8 +26,7 @@ from motionq.objectives import (
 from motionq.social import SocialParams, refine_forward
 from motionq.trainer import TrainConfig, evaluate, load_checkpoint, train
 
-from test_cell import lstm_oracle_backward, lstm_oracle_forward, oracle_params_from_cell
-from test_social import refine_oracle
+from oracles import lstm_oracle_backward, lstm_oracle_forward, oracle_params_from_cell, refine_oracle
 
 
 def report(num, name, ok, detail=""):

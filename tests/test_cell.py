@@ -4,125 +4,14 @@ import pytest
 from motionq.cell import CellParams, cell_backward, cell_forward
 from motionq.numkit import ParamStore, Rng, grad_check, sigmoid
 
-
-# ---------------------------------------------------------------------------
-# oracle: an independently written textbook LSTM cell (forward and backward)
-
-
-def lstm_oracle_forward(x, h_prev, c_prev, p):
-    """Standard LSTM cell: i/f/o gates + candidate, no peepholes."""
-    ai = p["Wi"] @ x + p["Ui"] @ h_prev + p["bi"]
-    af = p["Wf"] @ x + p["Uf"] @ h_prev + p["bf"]
-    ao = p["Wo"] @ x + p["Uo"] @ h_prev + p["bo"]
-    au = p["Wu"] @ x + p["Uu"] @ h_prev + p["bu"]
-    i = sigmoid(ai)
-    f = sigmoid(af)
-    o = sigmoid(ao)
-    u = np.tanh(au)
-    c = i * u + f * c_prev
-    tc = np.tanh(c)
-    h = o * tc
-    return h, c, (x, h_prev, c_prev, i, f, o, u, tc)
-
-
-def lstm_oracle_backward(cache, d_h, d_c, p):
-    x, h_prev, c_prev, i, f, o, u, tc = cache
-    do = d_h * tc
-    da_o = do * o * (1.0 - o)
-    dc = d_c + d_h * o * (1.0 - tc ** 2)
-    di = dc * u
-    da_i = di * i * (1.0 - i)
-    du = dc * i
-    da_u = du * (1.0 - u ** 2)
-    df = dc * c_prev
-    da_f = df * f * (1.0 - f)
-    d_c_prev = dc * f
-    d_h_prev = p["Ui"].T @ da_i + p["Uo"].T @ da_o + p["Uu"].T @ da_u + p["Uf"].T @ da_f
-    d_x = p["Wi"].T @ da_i + p["Wo"].T @ da_o + p["Wu"].T @ da_u + p["Wf"].T @ da_f
-    grads = {
-        "Wi": np.outer(da_i, x), "Ui": np.outer(da_i, h_prev), "bi": da_i,
-        "Wf": np.outer(da_f, x), "Uf": np.outer(da_f, h_prev), "bf": da_f,
-        "Wo": np.outer(da_o, x), "Uo": np.outer(da_o, h_prev), "bo": da_o,
-        "Wu": np.outer(da_u, x), "Uu": np.outer(da_u, h_prev), "bu": da_u,
-    }
-    return d_x, d_h_prev, d_c_prev, grads
-
-
-def oracle_params_from_cell(params):
-    """Map the queue-gated cell's weights onto the oracle's naming (g is the input gate)."""
-    return {
-        "Wi": params.W["g"], "Ui": params.U["g"], "bi": params.b["g"],
-        "Wf": params.W["f"], "Uf": params.U["f"], "bf": params.b["f"],
-        "Wo": params.W["o"], "Uo": params.U["o"], "bo": params.b["o"],
-        "Wu": params.W["u"], "Uu": params.U["u"], "bu": params.b["u"],
-    }
-
-
-# ---------------------------------------------------------------------------
-# oracle: the queue cell stepped one agent at a time on a (q, h) queue, the
-# arithmetic and accumulation order the batched cell must match bitwise
-
-
-def per_agent_forward(m_t, H, C, params):
-    h_tilde = H.mean(axis=0)
-    g = sigmoid(params.W["g"] @ m_t + params.U["g"] @ h_tilde + params.b["g"])
-    o = sigmoid(params.W["o"] @ m_t + params.U["o"] @ h_tilde + params.b["o"])
-    u = np.tanh(params.W["u"] @ m_t + params.U["u"] @ h_tilde + params.b["u"])
-    f = np.empty_like(H)
-    c_t = g * u
-    for idx in range(H.shape[0] - 1, -1, -1):  # newest slot first
-        f_idx = sigmoid(params.W["f"] @ m_t + params.U["f"] @ H[idx] + params.b["f"])
-        f[idx] = f_idx
-        c_t = c_t + f_idx * C[idx]
-    tanh_c = np.tanh(c_t)
-    h_t = o * tanh_c
-    cache = dict(m=m_t, hidden=H, cell=C, h_tilde=h_tilde, g=g, o=o, u=u, f=f, tanh_c=tanh_c)
-    return h_t, c_t, cache
-
-
-def per_agent_backward(cache, d_h, d_c, params):
-    H, C = cache["hidden"], cache["cell"]
-    q = H.shape[0]
-    do = d_h * cache["tanh_c"]
-    da_o = do * cache["o"] * (1.0 - cache["o"])
-    dc = d_c + d_h * cache["o"] * (1.0 - cache["tanh_c"] ** 2)
-    dg = dc * cache["u"]
-    da_g = dg * cache["g"] * (1.0 - cache["g"])
-    du = dc * cache["g"]
-    da_u = du * (1.0 - cache["u"] ** 2)
-    d_htilde = params.U["g"].T @ da_g + params.U["o"].T @ da_o + params.U["u"].T @ da_u
-    d_hidden = np.empty_like(H)
-    d_cell = np.empty_like(C)
-    da_f_sum = np.zeros_like(da_g)
-    for idx in range(q):
-        f_idx = cache["f"][idx]
-        da_f = (dc * C[idx]) * f_idx * (1.0 - f_idx)
-        d_cell[idx] = dc * f_idx
-        d_hidden[idx] = d_htilde * (1.0 / q) + params.U["f"].T @ da_f
-        params.dU["f"] += np.outer(da_f, H[idx])
-        da_f_sum += da_f
-    d_m = (params.W["g"].T @ da_g + params.W["o"].T @ da_o
-           + params.W["u"].T @ da_u + params.W["f"].T @ da_f_sum)
-    for gate, da in (("g", da_g), ("o", da_o), ("u", da_u)):
-        params.dW[gate] += np.outer(da, cache["m"])
-        params.dU[gate] += np.outer(da, cache["h_tilde"])
-        params.db[gate] += da
-    params.dW["f"] += np.outer(da_f_sum, cache["m"])
-    params.db["f"] += da_f_sum
-    return d_m, d_hidden, d_cell
-
-
-def oracle_cell_forward(m_t, hidden, cell, params):
-    """Drop-in for cell_forward that steps each agent alone; the cache is
-    the list of per-agent caches."""
-    steps = [per_agent_forward(m_t[i], hidden[i], cell[i], params) for i in range(len(m_t))]
-    return np.stack([s[0] for s in steps]), np.stack([s[1] for s in steps]), [s[2] for s in steps]
-
-
-def oracle_cell_backward(caches, d_h, d_c, params):
-    """Drop-in for cell_backward over oracle_cell_forward's caches, agent by agent."""
-    outs = [per_agent_backward(c, d_h[i], d_c[i], params) for i, c in enumerate(caches)]
-    return tuple(np.stack(parts) for parts in zip(*outs))
+from oracles import (
+    assert_close_to_oracle,
+    lstm_oracle_backward,
+    lstm_oracle_forward,
+    oracle_cell_backward,
+    oracle_cell_forward,
+    oracle_params_from_cell,
+)
 
 
 def make_cell(rng, d=2, h=8):
@@ -349,23 +238,16 @@ def oracle_case(n, q):
     return rng, store, params, (m_t, hidden, cell)
 
 
-def assert_close_to_oracle(got, want, name=""):
-    """Backward sums run in another order than the oracle's: each entry
-    within 1e-12 of the oracle's largest magnitude (at least 1)."""
-    bound = 1e-12 * max(1.0, float(np.abs(want).max(initial=0.0)))
-    assert got.shape == want.shape, name
-    assert np.abs(got - want).max(initial=0.0) <= bound, name
-
-
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 5, 16])
 def test_batched_cell_matches_per_agent_oracle_bitwise(n, q):
     _, _, params, inputs = oracle_case(n, q)
     h_t, c_t, cache = cell_forward(*inputs, params)
     h_ref, c_ref, caches = oracle_cell_forward(*inputs, params)
-    assert np.array_equal(h_t, h_ref) and np.array_equal(c_t, c_ref)
+    assert_close_to_oracle(h_t, h_ref, "h_t")
+    assert_close_to_oracle(c_t, c_ref, "c_t")
     for key in ("m", "hidden", "cell", "h_tilde", "g", "o", "u", "f", "tanh_c"):
-        assert np.array_equal(getattr(cache, key), np.stack([c[key] for c in caches])), key
+        assert_close_to_oracle(getattr(cache, key), np.stack([c[key] for c in caches]), key)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])

@@ -55,6 +55,33 @@ def test_load_malformed_line_reports_lineno(tmp_path):
         load_trajectories(path)
 
 
+@pytest.mark.parametrize("lines,lineno,bad", [
+    ("10 1 0 0\n1.5 1 0 0\n", 2, "frame_id '1.5' is not an integer"),
+    ("10 0.7 0 0\n10 0.2 1 1\n", 1, "agent_id '0.7' is not an integer"),
+    ("10 1 0 0\ninf 1 0 0\n", 2, "frame_id 'inf' is not an integer"),
+], ids=["fractional-frame", "fractional-agents", "infinite-frame"])
+def test_load_rejects_ids_that_are_not_integers(tmp_path, lines, lineno, bad):
+    path = tmp_path / "t.txt"
+    path.write_text(lines)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: ") + ".*" + re.escape(bad)):
+        load_trajectories(path)
+
+
+def test_load_rejects_undecodable_line_naming_path_and_line(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"10 1 0 0\n10 2 \xff 0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
+        load_trajectories(path)
+
+
+def test_load_accepts_integral_float_ids(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("780.0 3.0 1.5 2.5\n")
+    r, = load_trajectories(path)
+    assert (r.frame_id, r.agent_id, r.x, r.y) == (780, 3, 1.5, 2.5)
+    assert type(r.frame_id) is int and type(r.agent_id) is int
+
+
 def test_load_sorts_and_skips_comments(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("# header\n20 1 0 0\n\n10 2 1 1\n10 1 2 2\n")

@@ -1,4 +1,6 @@
+import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +12,11 @@ from motionq.numkit import (
     cosine_sim,
     cosine_sim_grad,
     grad_check,
+    read_tensors,
     sigmoid,
 )
+
+from oracles import assert_close_to_oracle, cosine_grad_oracle
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "rng_seed42.txt")
 
@@ -85,16 +90,6 @@ def test_cosine_zero_guard():
     assert not c.any() and not da.any() and not db.any()
 
 
-def cosine_grad_oracle(a, b, eps=1e-12):
-    """One vector pair at a time, with np.dot and np.linalg.norm."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < eps or nb < eps:
-        return 0.0, np.zeros_like(a), np.zeros_like(b)
-    c = float(np.dot(a, b) / (na * nb))
-    return c, b / (na * nb) - c * a / (na * na), a / (na * nb) - c * b / (nb * nb)
-
-
 def test_cosine_rows_match_per_vector_oracle_bitwise():
     rng = np.random.default_rng(8)
     for _ in range(100):
@@ -106,7 +101,9 @@ def test_cosine_rows_match_per_vector_oracle_bitwise():
         c, da, db = cosine_sim_grad(a, b)
         for r in range(k):
             oc, oda, odb = cosine_grad_oracle(a[r], b[r])
-            assert c[r] == oc and np.array_equal(da[r], oda) and np.array_equal(db[r], odb)
+            assert_close_to_oracle(c[r], oc, "cos")
+            assert_close_to_oracle(da[r], oda, "d_a")
+            assert_close_to_oracle(db[r], odb, "d_b")
 
 
 def test_cosine_grad_rejects_unaligned_rows():
@@ -198,6 +195,22 @@ def test_paramstore_load_shape_mismatch():
     other.add("w", np.zeros((2, 3)))
     with pytest.raises(ValueError, match="shape mismatch for w"):
         other.load_values(store.copy_values())
+
+
+# ---------------------------------------------------------------- tensor blocks
+
+
+def test_read_tensors_checks_declared_size_before_allocating():
+    # 10^7 float64 values (80 MB) declared in front of a 16-byte payload
+    block = io.BytesIO(b"tensors 1\ntensor w float64 1 10000000\n" + bytes(16))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="tensor w: truncated payload"):
+            read_tensors(block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------- grad check

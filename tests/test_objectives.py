@@ -4,11 +4,8 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from motionq.numkit import ParamStore, Rng, grad_check
-
-from test_numkit import cosine_grad_oracle
 from motionq.objectives import (
     LossConfig,
-    MetricsReport,
     ade_fde,
     aggregate_metrics,
     best_of_m_metrics,
@@ -22,6 +19,15 @@ from motionq.objectives import (
     variety_backward,
     variety_forward,
     variety_loss,
+)
+
+from oracles import (
+    assert_close_to_oracle,
+    best_of_m_metrics_oracle,
+    coherence_backward_oracle,
+    coherence_forward_oracle,
+    per_agent_best_metrics_oracle,
+    tcc_oracle,
 )
 
 
@@ -97,39 +103,6 @@ def test_coherence_deterministic_given_rng():
     assert a == b
 
 
-def coherence_forward_oracle(features, q, cfg, rng):
-    """Per-pair reference: three scalar draws and one vector cosine per pair."""
-    features = np.asarray(features, dtype=np.float64)
-    n, t, _ = features.shape
-    pairs = []
-    total = 0.0
-    for _ in range(cfg.pairs_per_batch):
-        i = int(rng.integers(0, n))
-        t1 = int(rng.integers(0, t))
-        t2 = int(rng.integers(0, t - 1))
-        if t2 >= t1:
-            t2 += 1
-        c, da, db = cosine_grad_oracle(features[i, t1], features[i, t2])
-        if abs(t1 - t2) < q:
-            total += 1.0 - c
-            scale = -1.0
-        else:
-            hinge = c - cfg.margin
-            total += max(0.0, hinge)
-            scale = 1.0 if hinge > 0 else 0.0
-        pairs.append((i, t1, t2, scale, da, db))
-    return total / cfg.pairs_per_batch, pairs
-
-
-def coherence_backward_oracle(cache, d_value, features_grad):
-    scale = d_value / len(cache)
-    for i, t1, t2, s, da, db in cache:
-        if s == 0.0:
-            continue
-        features_grad[i, t1] += scale * s * da
-        features_grad[i, t2] += scale * s * db
-
-
 def test_coherence_matches_per_pair_oracle_bitwise():
     # random shapes, queue lengths, margins and pair counts (1 and t = 2
     # included), some zero-norm feature rows: the value, the gradient added to
@@ -147,14 +120,14 @@ def test_coherence_matches_per_pair_oracle_bitwise():
         rng, ref_rng = Rng(case), Rng(case)
         value, cache = coherence_forward(feats, q, cfg, rng)
         ref_value, ref_cache = coherence_forward_oracle(feats, q, cfg, ref_rng)
-        assert value == ref_value, case
+        assert_close_to_oracle(value, ref_value, case)
         assert rng.state == ref_rng.state, case
         d_value = float(gen.standard_normal())
         grad = gen.standard_normal((n, t, h))
         ref_grad = grad.copy()
         coherence_backward(cache, d_value, grad)
         coherence_backward_oracle(ref_cache, d_value, ref_grad)
-        assert np.array_equal(grad, ref_grad), case
+        assert_close_to_oracle(grad, ref_grad, case)
 
 
 def test_coherence_backward_without_pairs_adds_nothing():
@@ -396,64 +369,6 @@ def test_best_of_m_horizons_and_report_format():
     assert rep.per_horizon[1][2] is None  # no correlation on a 1-frame horizon
     text = format_metrics_report(rep)
     assert "ade all" in text and "tcc 6" in text
-
-
-def pearson_oracle(a, b):
-    da = a - a.mean()
-    db = b - b.mean()
-    va = (da * da).mean()
-    vb = (db * db).mean()
-    if va < 1e-12 or vb < 1e-12:
-        return 0.0
-    return float((da * db).mean() / np.sqrt(va * vb))
-
-
-def tcc_oracle(gt, pred):
-    """Per-agent, per-axis reference on strided 1-D views."""
-    n = gt.shape[0]
-    tx = np.mean([pearson_oracle(pred[i, :, 0], gt[i, :, 0]) for i in range(n)])
-    ty = np.mean([pearson_oracle(pred[i, :, 1], gt[i, :, 1]) for i in range(n)])
-    return float(0.5 * (tx + ty))
-
-
-def per_agent_best_metrics_oracle(gt, preds, horizons=()):
-    n, t = gt.shape[0], gt.shape[1]
-    dist = np.linalg.norm(preds - gt[None], axis=3)
-    best = dist.mean(axis=2).argmin(axis=0)
-    agents = np.arange(n)
-    chosen = preds[best, agents]
-    chosen_dist = dist[best, agents]
-    out = {
-        "ade": chosen_dist.mean(axis=1),
-        "fde": chosen_dist[:, -1],
-        "tcc": np.array([tcc_oracle(gt[i:i + 1], chosen[i:i + 1]) for i in range(n)]),
-        "best": best,
-    }
-    hz = {}
-    for k in horizons:
-        if not 1 <= k <= t:
-            continue
-        hz[k] = {
-            "ade": chosen_dist[:, :k].mean(axis=1),
-            "fde": chosen_dist[:, k - 1],
-            "tcc": (np.array([tcc_oracle(gt[i:i + 1, :k], chosen[i:i + 1, :k])
-                              for i in range(n)])
-                    if k >= 2 else np.full(n, np.nan)),
-        }
-    out["horizons"] = hz
-    return out
-
-
-def best_of_m_metrics_oracle(gt, preds, horizons=()):
-    stats = per_agent_best_metrics_oracle(gt, preds, horizons)
-    per_h = {}
-    for k, vals in stats["horizons"].items():
-        t_vals = vals["tcc"]
-        per_h[k] = (float(vals["ade"].mean()), float(vals["fde"].mean()),
-                    float(np.nanmean(t_vals)) if not np.all(np.isnan(t_vals)) else None)
-    return MetricsReport(ade=float(stats["ade"].mean()), fde=float(stats["fde"].mean()),
-                         tcc=float(stats["tcc"].mean()), n_agents=gt.shape[0],
-                         per_horizon=per_h)
 
 
 def assert_stats_equal(stats, ref):

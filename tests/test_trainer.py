@@ -1,5 +1,8 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +21,9 @@ from motionq.trainer import (
     save_checkpoint,
     train,
 )
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def micro_train_cfg(**overrides):
@@ -128,6 +134,9 @@ def test_config_rejects_values_outside_their_sets(key, bad, refused):
 @pytest.mark.parametrize("key,bad", [
     ("pairs_per_batch", 0), ("pairs_per_batch", -3), ("lam", -0.1), ("lam", float("nan")),
     ("margin", -0.1), ("margin", 1.5), ("checkpoint_every", -1),
+    ("lr", float("inf")), ("lr", float("nan")), ("lam", float("inf")),
+    ("margin", float("inf")), ("sigma_bias", float("inf")), ("sigma_bias", float("-inf")),
+    ("sigma_bias", float("nan")),
 ])
 def test_config_rejects_values_outside_their_ranges(key, bad):
     with pytest.raises(ValueError, match=key):
@@ -242,34 +251,6 @@ def test_checkpoint_hash_mismatch_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def write_v1_tensors(fh, mapping):
-    """The text tensor block of checkpoint-v1 files: a header line per
-    tensor, then its row-major values as C99 hex floats, eight per line."""
-    fh.write(f"tensors {len(mapping)}\n")
-    for name, arr in mapping.items():
-        arr = np.asarray(arr)
-        dims = " ".join(str(d) for d in arr.shape)
-        fh.write(f"tensor {name} {arr.dtype.name} {arr.ndim} {dims}".rstrip() + "\n")
-        flat = arr.reshape(-1)
-        for start in range(0, flat.size, 8):
-            fh.write(" ".join(float(v).hex() for v in flat[start:start + 8]) + "\n")
-
-
-def write_v1_checkpoint(path, store, state, cfg, epoch):
-    """A checkpoint-v1 file, as save_checkpoint wrote them before v2."""
-    cfg_text = cfg.to_text()
-    with open(path, "w") as fh:
-        fh.write("checkpoint-v1\n")
-        fh.write(f"hash {cfg.digest()}\n")
-        fh.write(f"epoch {epoch}\n")
-        fh.write(f"adam-t {state.t}\n")
-        fh.write(f"config-lines {len(cfg_text.splitlines())}\n")
-        fh.write(cfg_text)
-        write_v1_tensors(fh, {name: store.value(name) for name in store.names()})
-        write_v1_tensors(fh, state.m)
-        write_v1_tensors(fh, state.v)
-
-
 def assert_same_training_state(store, state, ref_store, ref_state):
     assert state.t == ref_state.t
     for name in ref_store.names():
@@ -279,15 +260,15 @@ def assert_same_training_state(store, state, ref_store, ref_state):
         assert np.array_equal(state.v[name], ref_state.v[name]), name
 
 
-def test_v1_checkpoint_loads_bitwise(tmp_path):
-    cfg = micro_train_cfg(epochs=2)
-    ref, _ = train(cfg, micro_scenes(count=2), tmp_path)
-    _, _, ref_state, _ = load_checkpoint(tmp_path / "final.ckpt")
+def test_checkpoint_v1_is_refused_naming_path(tmp_path):
+    # checkpoint-v1 files (text tensor blocks) are no longer read
+    cfg = micro_train_cfg(epochs=1)
+    model = build_model(cfg)
     path = tmp_path / "v1.ckpt"
-    write_v1_checkpoint(path, ref.store, ref_state, cfg, 1)
-    loaded_cfg, loaded, state, epoch = load_checkpoint(path)
-    assert loaded_cfg == cfg and epoch == 1
-    assert_same_training_state(loaded.store, state, ref.store, ref_state)
+    save_checkpoint(path, model.store, AdamState(model.store), cfg, 0)
+    path.write_bytes(path.read_bytes().replace(b"checkpoint-v2\n", b"checkpoint-v1\n", 1))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not a checkpoint file")):
+        load_checkpoint(path)
 
 
 def with_retired_keys(cfg, sigma_transform="sigmoid", variety_mode="concat", adam_eps="1e-08",
@@ -319,41 +300,6 @@ def with_config_text(data, cfg, legacy_cfg):
     return head + data[end:]
 
 
-def test_legacy_checkpoint_loads_renamed(tmp_path):
-    # a v1 file as written before the retired config keys and the decoder's
-    # `_i` tensor names were dropped: its config carries every retired key,
-    # hashed with them
-    cfg = micro_train_cfg(epochs=2)
-    train(cfg, micro_scenes(count=2), tmp_path)
-    _, ref, ref_state, ref_epoch = load_checkpoint(tmp_path / "final.ckpt")
-    path = tmp_path / "v1.ckpt"
-    write_v1_checkpoint(path, ref.store, ref_state, cfg, ref_epoch)
-    text = path.read_text()
-    for kind in ("W", "U", "b"):
-        assert text.count(f"tensor decoder.{kind}_g ") == 3  # values and both moments
-        text = text.replace(f"tensor decoder.{kind}_g ", f"tensor decoder.{kind}_i ")
-    legacy = tmp_path / "legacy.ckpt"
-    legacy.write_bytes(with_config_text(text.encode(), cfg, with_retired_keys(cfg)))
-    loaded_cfg, loaded, state, epoch = load_checkpoint(legacy)
-    assert loaded_cfg == cfg and epoch == ref_epoch and state.t == ref_state.t
-    for name in ref.store.names():
-        assert np.array_equal(loaded.store.value(name), ref.store.value(name)), name
-        assert np.array_equal(state.m[name], ref_state.m[name]), name
-        assert np.array_equal(state.v[name], ref_state.v[name]), name
-
-    # a retired switch set to the behaviour that was removed is refused by name
-    softplus = tmp_path / "softplus.ckpt"
-    softplus.write_bytes(with_config_text(text.encode(), cfg,
-                                          with_retired_keys(cfg, sigma_transform="softplus")))
-    with pytest.raises(ValueError, match=re.escape(f"{softplus}: ") + ".*'sigma_transform'"):
-        load_checkpoint(softplus)
-    for line in ("dataset = zara1", "variety_mode = concat", "sigma_transform = sigmoid",
-                 "eval_samples = 20", "beta1 = 0.9", "beta2 = 0.999", "adam_eps = 1e-08",
-                 "relation_mode = softmax"):
-        with pytest.raises(ValueError, match=f"unknown key '{line.split()[0]}'"):
-            TrainConfig.from_text(line + "\n")
-
-
 def test_v2_checkpoint_with_retired_keys_resumes_bitwise(tmp_path):
     scenes = micro_scenes(count=4)
     _, full_curve = train(micro_train_cfg(epochs=2), scenes, tmp_path / "full")
@@ -362,16 +308,25 @@ def test_v2_checkpoint_with_retired_keys_resumes_bitwise(tmp_path):
     data = (tmp_path / "head" / "last.ckpt").read_bytes()
     legacy = tmp_path / "legacy.ckpt"
     legacy.write_bytes(with_config_text(data, cfg, with_retired_keys(cfg)))
+    assert load_checkpoint(legacy)[0] == cfg
     _, tail = train(micro_train_cfg(epochs=2), scenes, tmp_path / "tail", resume=legacy)
     assert head + tail == full_curve
     assert ((tmp_path / "tail" / "final.ckpt").read_bytes()
             == (tmp_path / "full" / "final.ckpt").read_bytes())
+    # a retired switch set to the behaviour that was removed is refused by name
     for refused, key in ((with_retired_keys(cfg, variety_mode="per_frame"), "variety_mode"),
                          (with_retired_keys(cfg, adam_eps="1e-06"), "adam_eps"),
-                         (with_retired_keys(cfg, relation_mode="signed"), "relation_mode")):
+                         (with_retired_keys(cfg, relation_mode="signed"), "relation_mode"),
+                         (with_retired_keys(cfg, sigma_transform="softplus"), "sigma_transform")):
         legacy.write_bytes(with_config_text(data, cfg, refused))
         with pytest.raises(ValueError, match=re.escape(f"{legacy}: ") + f".*'{key}'"):
             train(micro_train_cfg(epochs=2), scenes, tmp_path / "tail", resume=legacy)
+    # outside a stored config, a retired key is an unknown key
+    for line in ("dataset = zara1", "variety_mode = concat", "sigma_transform = sigmoid",
+                 "eval_samples = 20", "beta1 = 0.9", "beta2 = 0.999", "adam_eps = 1e-08",
+                 "relation_mode = softmax"):
+        with pytest.raises(ValueError, match=f"unknown key '{line.split()[0]}'"):
+            TrainConfig.from_text(line + "\n")
 
 
 def test_checkpoint_preserves_adam_state(tmp_path):
@@ -575,3 +530,37 @@ def test_nonfinite_training_error_names_epoch_iteration_and_scenes(tmp_path, mon
     assert f"epoch 0, iteration {iteration}, scenes " in message
     for i in batch:
         assert repr(scenes[i].scene_id) in message
+
+
+# a crowd-sized run (16 agents, q = 4) trained and evaluated at best of 20, so
+# the decoder's products span 320 rows, large enough for OpenBLAS to split a
+# gemm over threads: prints the loss rows and the report and writes
+# final.ckpt to argv[1]
+CROWD_RUN = """
+import sys
+from motionq.data import synth_dataset
+from motionq.numkit import Rng
+from motionq.trainer import TrainConfig, evaluate, train
+
+cfg = TrainConfig(q=4, m=20, pairs_per_batch=16, batch_size=2, epochs=2, seed=3)
+scenes = synth_dataset("crossroad", 4, Rng(0), n_agents=16, noise=0.02)
+model, curve = train(cfg, scenes, sys.argv[1])
+print(curve)
+print(evaluate(model, scenes, 20, horizons=(4, 12)))
+"""
+
+
+def test_run_is_bitwise_the_same_under_one_and_two_blas_threads(tmp_path):
+    # the matrix products carry every sum, so (config, seed, data) must fix
+    # every number whatever the thread count BLAS splits them over
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", CROWD_RUN, str(tmp_path / threads)],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        runs.append((proc.stdout, (tmp_path / threads / "final.ckpt").read_bytes()))
+    (text_1, ckpt_1), (text_2, ckpt_2) = runs
+    assert text_1.count("\n") == 2 and text_1 == text_2
+    assert ckpt_1 == ckpt_2
