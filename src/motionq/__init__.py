@@ -11,7 +11,7 @@ is written against numpy directly.
 
 from .numkit import Rng, ParamStore, grad_check, cosine_sim
 from .queues import push_pop
-from .data import SceneBatch, WindowConfig, load_trajectories, extract_windows, to_relative, synth_scene
+from .data import Scene, WindowConfig, load_trajectories, extract_windows, to_relative, synth_scene
 from .model import ModelConfig, MotionModel, PredictionSet
 from .objectives import LossConfig, MetricsReport, ade_fde, tcc, variety_loss, coherence_loss
 from .trainer import TrainConfig, train, evaluate, adam_step

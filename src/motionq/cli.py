@@ -160,7 +160,7 @@ def main(argv=None):
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of every backward pass")
     p.add_argument("--module", default="full",
-                   choices=["cell", "social", "scene", "decoder", "full"])
+                   choices=["cell", "social", "scene", "decoder", "batch", "full"])
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("synth", help="generate synthetic scenes with semantic maps")

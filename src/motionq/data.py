@@ -27,7 +27,7 @@ from .scene import SemanticMap, load_map
 __all__ = [
     "TrajectoryRecord",
     "WindowConfig",
-    "SceneBatch",
+    "Scene",
     "load_trajectories",
     "save_trajectories",
     "to_relative",
@@ -69,7 +69,7 @@ class WindowConfig:
         return self.obs_len + self.pred_len
 
 
-class SceneBatch:
+class Scene:
     """All agents co-present across one observation+prediction window."""
 
     def __init__(self, positions, obs_len, smap=None, scene_id=""):
@@ -103,7 +103,7 @@ class SceneBatch:
         return self.positions[:, self.obs_len:]
 
     def __repr__(self):
-        return f"SceneBatch({self.scene_id!r}, n={self.n_agents}, frames={self.total_len})"
+        return f"Scene({self.scene_id!r}, n={self.n_agents}, frames={self.total_len})"
 
 
 def _integer_id(text, name):
@@ -155,7 +155,7 @@ def save_trajectories(path, records):
 
 
 def scene_to_records(scene):
-    """Flatten a SceneBatch back into records (frame ids 0..T-1, agent ids 0..n-1)."""
+    """Flatten a Scene back into records (frame ids 0..T-1, agent ids 0..n-1)."""
     out = []
     for i in range(scene.n_agents):
         for t in range(scene.total_len):
@@ -203,7 +203,7 @@ def extract_windows(records, cfg, smap=None, scene_prefix=""):
         agents = sorted(agents)
         positions = np.array([[by_frame[f][a] for f in want] for a in agents])
         windows.append(
-            SceneBatch(
+            Scene(
                 positions,
                 cfg.obs_len,
                 smap=smap,
@@ -382,7 +382,7 @@ def synth_scene(kind, n_agents, rng, noise=0.0, map_size=64, map_channels=2,
     if noise > 0:
         positions = positions + noise * rng.normal(positions.shape)
 
-    return SceneBatch(positions, obs_len, smap=smap, scene_id=scene_id or kind)
+    return Scene(positions, obs_len, smap=smap, scene_id=scene_id or kind)
 
 
 def synth_dataset(kind, count, rng, n_agents=2, noise=0.0, map_size=64,

@@ -100,14 +100,14 @@ def check_scene(seed=0):
 
 
 def check_decoder(seed=0):
-    """Loss = squared norm of one winning rollout per agent, out of 3 latent
-    samples per agent decoded together, backpropagated through all rows in
-    one call with zero upstream gradient off the winners.
+    """Loss = squared norm of one winning rollout per agent, each agent's
+    winner picked out of 3 latent samples and the winners decoded together
+    as rows, the form in which training decodes them for its backward.
 
     Agents 0 and 2 win with sample 2 and agent 1 with sample 0, so sample 1
-    gets no gradient and sample 2's latent gradient sums over two agents.
-    The decoder's parameters and its inputs h_obs and z sit in a store of
-    their own, which the sweep covers entry by entry.
+    gets no gradient and sample 2's latent gradient sums over two rows. The
+    decoder's parameters and its inputs h_obs and z sit in a store of their
+    own, which the sweep covers entry by entry.
     """
     n, m, z_dim = 3, 3, 3
     cfg = ModelConfig(h=8, q=2, dec_h=8, obs_len=4, pred_len=3,
@@ -120,21 +120,21 @@ def check_decoder(seed=0):
     z = store.add("input.z", rng.normal((m, z_dim)))
     last_pos = rng.normal((n, 2))
     last_disp = rng.normal((n, 2))
-    winners = ((0, 2), (1, 0), (2, 2))  # (agent, sample)
+    agents, samples = np.arange(n), np.array([2, 0, 2])  # each agent's winner
+
+    def rollout(want_cache=False):
+        return model.decode(h_obs[agents], z[samples], 3, last_pos, last_disp,
+                            want_cache=want_cache)
 
     def f(s):
-        pos, cache = model.decode(h_obs, z, 3, last_pos, last_disp, want_cache=True)
-        d_pos = np.zeros_like(pos)
-        for i, k in winners:
-            d_pos[k, i] = 2.0 * pos[k, i]
-        d_h, d_z = model._decode_backward_agent(cache, d_pos)
-        store.grad("input.h_obs")[...] += d_h
-        store.grad("input.z")[...] += d_z
-        return sum(float((pos[k, i] ** 2).sum()) for i, k in winners)
+        pos, cache = rollout(want_cache=True)
+        d_h, d_z = model._decode_backward_agent(cache, 2.0 * pos)
+        np.add.at(store.grad("input.h_obs"), agents, d_h)
+        np.add.at(store.grad("input.z"), samples, d_z)
+        return float((pos ** 2).sum())
 
     def f_value(s):
-        pos, _ = model.decode(h_obs, z, 3, last_pos, last_disp)
-        return sum(float((pos[k, i] ** 2).sum()) for i, k in winners)
+        return float((rollout()[0] ** 2).sum())
 
     return grad_check(f, store, eps=EPS, f_value=f_value)
 
@@ -176,12 +176,33 @@ def check_full(seed=0):
     return grad_check(f, model.store, eps=EPS, f_value=f_value)
 
 
+def check_batch(seed=0):
+    """grad check of one training batch of two scenes, of 2 and 3 agents:
+    social refinement masks the absent third agent of the first scene, each
+    scene draws its own latents and pairs, and only each agent's best
+    sample is decoded again for the backward."""
+    model, first = micro_model_and_scene(seed)
+    second = synth_scene("crossroad", 3, Rng(seed + 200), noise=0.05, map_size=28,
+                         obs_len=4, pred_len=3)
+    batch = [first, second]
+    loss_cfg = LossConfig(lam=0.1, margin=0.5, m=3, pairs_per_batch=8)
+
+    def f(s):
+        return model.loss_and_grad(batch, loss_cfg, Rng(777))["total"]
+
+    def f_value(s):
+        return model.loss(batch, loss_cfg, Rng(777))["total"]
+
+    return grad_check(f, model.store, eps=EPS, f_value=f_value)
+
+
 CHECKS = {
     "cell": check_cell,
     "social": check_social,
     "scene": check_scene,
     "decoder": check_decoder,
     "full": check_full,
+    "batch": check_batch,
 }
 
 

@@ -39,13 +39,9 @@ def check_finite(arr, name="array"):
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, 1 / (1 + exp(-x))."""
-    x = np.asarray(x)
-    if not np.issubdtype(x.dtype, np.floating):
-        x = x.astype(np.float64)
-    pos = x >= 0
-    ex = np.exp(np.where(pos, -x, x))  # argument always <= 0, no overflow
-    return np.where(pos, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    """Logistic function 1 / (1 + exp(-x)), as 0.5 * tanh(0.5 * x) + 0.5: one
+    pass over x that cannot overflow, exactly 0 and 1 far out in the tails."""
+    return 0.5 * np.tanh(0.5 * np.asarray(x)) + 0.5
 
 
 def relu(x):
@@ -164,10 +160,6 @@ class ParamStore:
     def zero_grads(self):
         for g in self._grads.values():
             g[...] = 0.0
-
-    def scale_grads(self, factor):
-        for g in self._grads.values():
-            g *= factor
 
     def first_nonfinite_grad(self):
         """Name of the first parameter with a non-finite gradient, or None."""

@@ -25,6 +25,7 @@ __all__ = [
     "LossConfig",
     "MetricsReport",
     "coherence_loss",
+    "coherence_pairs",
     "coherence_forward",
     "coherence_backward",
     "variety_loss",
@@ -73,28 +74,40 @@ class MetricsReport:
 # coherence loss
 
 
-def coherence_forward(features, q, cfg, rng):
-    """Sample feature pairs and score them; returns (value, cache).
+def coherence_pairs(n, t, cfg, rng):
+    """Draw one scene's pairs: (agent, frame, other frame) index arrays of
+    pairs_per_batch entries each, drawn at once as the stream one scalar
+    draw per value would consume. With t < 2 frames there is no pair: it
+    warns, draws nothing and returns empty arrays."""
+    if t < 2:
+        warnings.warn("coherence loss needs >= 2 frames of features; scoring no pairs")
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    agent, t1, t2 = rng.integers(0, np.tile([n, t, t - 1], cfg.pairs_per_batch)).reshape(-1, 3).T
+    return agent, t1, t2 + (t2 >= t1)  # uniform over ordered distinct frame pairs
 
-    features is (n_agents, n_frames, h); every pair is two frames of the same
-    agent. Pairs within the queue length contribute 1 - cos, pairs at or
-    beyond it contribute max(0, cos - margin). All pairs are drawn at once as
-    (agent, frame, other frame) triples, the stream one scalar draw per value
-    would consume, and the value is the mean contribution.
+
+def coherence_forward(features, q, cfg, pairs):
+    """Score sampled feature pairs; returns (value, cache).
+
+    features is (n_agents, n_frames, h), the agents of one scene or of a
+    batch's scenes concatenated; pairs is coherence_pairs' (agent, frame,
+    other frame), each scene's agents offset to its rows, pairs_per_batch
+    per scene. Pairs within the queue length contribute 1 - cos, pairs at or
+    beyond it contribute max(0, cos - margin). The value is the mean
+    contribution, which is the mean over scenes of each scene's mean; it is
+    0 with no cache when there is no pair.
     """
     features = np.asarray(features, dtype=np.float64)
-    n, t, _ = features.shape
-    if t < 2:
-        warnings.warn("coherence loss needs >= 2 frames of features; returning 0")
+    agent, t1, t2 = pairs
+    if agent.size == 0:
         return 0.0, None
-    agent, t1, t2 = rng.integers(0, np.tile([n, t, t - 1], cfg.pairs_per_batch)).reshape(-1, 3).T
-    t2 = t2 + (t2 >= t1)  # uniform over ordered distinct frame pairs
     c, da, db = cosine_sim_grad(features[agent, t1], features[agent, t2])
     near = np.abs(t1 - t2) < q
     hinge = c - cfg.margin
     terms = np.where(near, 1.0 - c, np.where(hinge > 0, hinge, 0.0))
     scale = np.where(near, -1.0, np.where(hinge > 0, 1.0, 0.0))
-    value = float(terms.sum() / cfg.pairs_per_batch)
+    value = float(terms.sum() / terms.size)
     return value, (agent, t1, t2, scale, da, db)
 
 
@@ -111,8 +124,10 @@ def coherence_backward(cache, d_value, features_grad):
 
 
 def coherence_loss(features, q, cfg, rng):
-    """Mean pair contribution per the sampling rule above (forward only)."""
-    value, _ = coherence_forward(features, q, cfg, rng)
+    """Mean pair contribution of one scene per the sampling rule above
+    (forward only)."""
+    n, t = np.shape(features)[:2]
+    value, _ = coherence_forward(features, q, cfg, coherence_pairs(n, t, cfg, rng))
     return value
 
 
@@ -120,36 +135,43 @@ def coherence_loss(features, q, cfg, rng):
 # variety loss
 
 
-def variety_forward(gt, preds):
+def variety_forward(gt, preds, counts=None):
     """Best-of-m trajectory error; returns (value, cache).
 
     gt is (n_agents, t, 2); preds is (m, n_agents, t, 2). A sample's error
     for an agent is the L2 norm of its whole (t, 2) trajectory difference.
-    Each agent selects its own best sample; the loss is the mean over agents
-    of that minimum.
+    Each agent selects its own best sample. counts, the agents of each
+    scene when a batch's scenes are concatenated along the agent axis
+    (default: one scene), splits the agents; the value is the mean over
+    scenes of the mean over each scene's agents of that minimum.
     """
     gt = np.asarray(gt, dtype=np.float64)
     preds = np.asarray(preds, dtype=np.float64)
     if preds.ndim != 4 or preds.shape[1:] != gt.shape:
         raise ValueError(f"prediction set {preds.shape} does not align with ground truth {gt.shape}")
+    n = gt.shape[0]
+    counts = np.array([n] if counts is None else counts)
+    if counts.sum() != n:
+        raise ValueError(f"scene agent counts {counts.tolist()} do not sum to {n} agents")
     errs = np.sqrt(((preds - gt[None]) ** 2).sum(axis=(2, 3)))  # (m, n)
     best = errs.argmin(axis=0)                                  # (n,)
-    n = gt.shape[0]
-    value = float(errs[best, np.arange(n)].mean())
-    return value, (gt, preds, errs, best)
+    err = errs[best, np.arange(n)]
+    ends = np.cumsum(counts)
+    value = float(np.mean([err[end - k:end].mean() for k, end in zip(counts, ends)]))
+    # each agent's weight in the value is 1 / (scenes x its scene's agents)
+    scale = np.repeat(len(counts) * counts, counts)
+    return value, (gt, preds, err, best, scale)
 
 
 def variety_backward(cache, d_value):
     """d(value)/d(preds), nonzero only along each agent's best sample (and
     zero for an agent whose best error is exactly 0)."""
-    gt, preds, errs, best = cache
-    n = gt.shape[0]
-    agents = np.arange(n)
-    err = errs[best, agents]
+    gt, preds, err, best, scale = cache
+    agents = np.arange(gt.shape[0])
     hit = err > 0
     d_preds = np.zeros_like(preds)
     d_preds[best[hit], agents[hit]] = (
-        d_value * (preds[best, agents] - gt)[hit] / (err[hit] * n)[:, None, None])
+        d_value * (preds[best, agents] - gt)[hit] / (err[hit] * scale[hit])[:, None, None])
     return d_preds
 
 

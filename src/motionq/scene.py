@@ -140,7 +140,7 @@ class SceneCache:
 
     def __init__(self, params, layers, gap_div, motion, fused, act):
         self.params = params
-        self.layers = layers  # per conv layer: (input shape, cols, pre-activation, oh, ow, relu)
+        self.layers = layers  # per conv layer: (input, pre-activation, relu)
         self.gap_div = gap_div
         self.motion = motion
         self.fused = fused
@@ -174,7 +174,7 @@ def encode_scene(smap, observed, params):
         cols, oh, ow = _im2col(x, k, s)
         pre = (cols @ params.conv_W[layer] + params.conv_b[layer]).reshape(oh, ow, -1)
         use_relu = layer < n_layers - 1
-        layers.append((x.shape, cols, pre, oh, ow, use_relu))
+        layers.append((x, pre, use_relu))  # not cols: the backward unfolds x again
         x = relu(pre) if use_relu else pre
     gap_div = x.shape[0] * x.shape[1]
     conv_feat = x.reshape(gap_div, -1).mean(axis=0)
@@ -217,19 +217,19 @@ def encode_scene_backward(cache, d_mu, d_sigma, params):
     params.db_m += d_fused
 
     # conv stack, last layer first; layer 0 needs no input gradient
-    last_oh, last_ow = cache.layers[-1][3], cache.layers[-1][4]
-    d_spatial = np.tile(d_fused / cache.gap_div, (last_oh * last_ow, 1))
+    d_spatial = np.tile(d_fused / cache.gap_div, (cache.gap_div, 1))
     for layer in range(len(cache.layers) - 1, -1, -1):
-        in_shape, cols, pre, oh, ow, use_relu = cache.layers[layer]
+        x, pre, use_relu = cache.layers[layer]
+        k, s = cfg.conv_kernels[layer], cfg.conv_strides[layer]
+        cols, oh, ow = _im2col(x, k, s)
         d_pre = d_spatial
         if use_relu:
             d_pre = d_pre * (pre.reshape(oh * ow, -1) > 0)
         params.dconv_W[layer] += cols.T @ d_pre
         params.dconv_b[layer] += d_pre.sum(axis=0)
         if layer > 0:
-            k, s = cfg.conv_kernels[layer], cfg.conv_strides[layer]
-            dx = _col2im(d_pre @ params.conv_W[layer].T, in_shape, k, s, oh, ow)
-            d_spatial = dx.reshape(in_shape[0] * in_shape[1], in_shape[2])
+            dx = _col2im(d_pre @ params.conv_W[layer].T, x.shape, k, s, oh, ow)
+            d_spatial = dx.reshape(x.shape[0] * x.shape[1], x.shape[2])
     return None
 
 

@@ -199,10 +199,12 @@ def adam_step(store, state, lr):
 def train(cfg: TrainConfig, scenes, out_dir, log=None, resume=None):
     """Full optimization run; returns (model, loss curve).
 
-    Scenes are shuffled per epoch from the config seed, batched, and each
-    batch's mean gradient drives one Adam step. The curve rows are
-    (epoch, iteration, total, coherence, variety). A rolling checkpoint is
-    written every checkpoint_every epochs and a final one at the end.
+    Scenes are shuffled per epoch from the config seed and batched; one
+    loss_and_grad call takes each batch's scenes together, and the gradient
+    of its loss, the mean over its scenes, drives one Adam step. The curve
+    rows are (epoch, iteration, total, coherence, variety). A rolling
+    checkpoint is written every checkpoint_every epochs and a final one at
+    the end.
 
     `resume` is the path of a checkpoint written by train: the run goes on
     after that checkpoint's epoch from its parameters, Adam moments and
@@ -230,19 +232,11 @@ def train(cfg: TrainConfig, scenes, out_dir, log=None, resume=None):
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             model.store.zero_grads()
-            sums = {"total": 0.0, "coherence": 0.0, "variety": 0.0}
-            for idx in batch:
-                parts = model.loss_and_grad(scenes[idx], loss_cfg, streams["loss"])
-                for key in sums:
-                    sums[key] += parts[key]
-            row = (epoch, iteration,
-                   sums["total"] / len(batch),
-                   sums["coherence"] / len(batch),
-                   sums["variety"] / len(batch))
+            parts = model.loss_and_grad([scenes[i] for i in batch], loss_cfg, streams["loss"])
+            row = (epoch, iteration, parts["total"], parts["coherence"], parts["variety"])
             if not np.isfinite(row[2]):
                 raise FloatingPointError(
                     f"non-finite loss at {_batch_place(epoch, iteration, scenes, batch)}")
-            model.store.scale_grads(1.0 / len(batch))
             try:
                 adam_step(model.store, state, cfg.lr)
             except FloatingPointError as exc:

@@ -6,6 +6,8 @@ The array code runs its sums as matrix products over all rows, so it agrees
 with these loops to rounding: compare through assert_close_to_oracle.
 """
 
+import warnings
+
 import numpy as np
 
 from motionq import model as model_module
@@ -246,9 +248,13 @@ def cosine_grad_oracle(a, b, eps=1e-12):
 
 
 def coherence_forward_oracle(features, q, cfg, rng):
-    """Per-pair reference: three scalar draws and one vector cosine per pair."""
+    """Per-pair reference: three scalar draws and one vector cosine per pair;
+    with fewer than 2 frames it warns and scores no pair."""
     features = np.asarray(features, dtype=np.float64)
     n, t, _ = features.shape
+    if t < 2:
+        warnings.warn("coherence loss needs >= 2 frames of features")
+        return 0.0, []
     pairs = []
     total = 0.0
     for _ in range(cfg.pairs_per_batch):
@@ -270,6 +276,8 @@ def coherence_forward_oracle(features, q, cfg, rng):
 
 
 def coherence_backward_oracle(cache, d_value, features_grad):
+    if not cache:
+        return
     scale = d_value / len(cache)
     for i, t1, t2, s, da, db in cache:
         if s == 0.0:
@@ -345,35 +353,33 @@ def best_of_m_metrics_oracle(gt, preds, horizons=()):
 
 
 def oracle_decode(model, h_obs, z, steps, last_pos, last_disp, want_cache=False):
-    """MotionModel.decode's contract, one row at a time, sample-major; the
-    cache is a list of (s, h0, step records) per row."""
+    """MotionModel.decode's contract, one row at a time; the cache is a list
+    of (s, h0, step records) per row."""
     dec = model.decoder
     W, U, b = dec.cell.W, dec.cell.U, dec.cell.b
-    n, m = len(h_obs), len(z)
-    positions = np.zeros((m, n, steps, 2))
+    positions = np.zeros((len(h_obs), steps, 2))
     rows = []
-    for k in range(m):
-        for i in range(n):
-            s = np.concatenate([h_obs[i], z[k]])
-            h0 = np.tanh(dec.W_fuse @ s + dec.b_fuse)
-            h, c, x = h0, np.zeros(dec.cell.h), np.asarray(last_disp[i], dtype=np.float64)
-            disps = np.zeros((steps, 2))
-            records = []
-            for t in range(steps):
-                gi = sigmoid(W["g"] @ x + U["g"] @ h + b["g"])
-                gf = sigmoid(W["f"] @ x + U["f"] @ h + b["f"])
-                go = sigmoid(W["o"] @ x + U["o"] @ h + b["o"])
-                gu = np.tanh(W["u"] @ x + U["u"] @ h + b["u"])
-                c_new = gf * c + gi * gu
-                tanh_c = np.tanh(c_new)
-                h_new = go * tanh_c
-                delta = dec.W_out @ h_new + dec.b_out
-                records.append(dict(x=x, h_prev=h, c_prev=c, gi=gi, gf=gf, go=go, gu=gu,
-                                    c=c_new, tanh_c=tanh_c, h=h_new))
-                disps[t] = delta
-                x, h, c = delta, h_new, c_new
-            positions[k, i] = last_pos[i] + np.cumsum(disps, axis=0)
-            rows.append((s, h0, records))
+    for r in range(len(h_obs)):
+        s = np.concatenate([h_obs[r], z[r]])
+        h0 = np.tanh(dec.W_fuse @ s + dec.b_fuse)
+        h, c, x = h0, np.zeros(dec.cell.h), np.asarray(last_disp[r], dtype=np.float64)
+        disps = np.zeros((steps, 2))
+        records = []
+        for t in range(steps):
+            gi = sigmoid(W["g"] @ x + U["g"] @ h + b["g"])
+            gf = sigmoid(W["f"] @ x + U["f"] @ h + b["f"])
+            go = sigmoid(W["o"] @ x + U["o"] @ h + b["o"])
+            gu = np.tanh(W["u"] @ x + U["u"] @ h + b["u"])
+            c_new = gf * c + gi * gu
+            tanh_c = np.tanh(c_new)
+            h_new = go * tanh_c
+            delta = dec.W_out @ h_new + dec.b_out
+            records.append(dict(x=x, h_prev=h, c_prev=c, gi=gi, gf=gf, go=go, gu=gu,
+                                c=c_new, tanh_c=tanh_c, h=h_new))
+            disps[t] = delta
+            x, h, c = delta, h_new, c_new
+        positions[r] = last_pos[r] + np.cumsum(disps, axis=0)
+        rows.append((s, h0, records))
     return positions, (rows if want_cache else None)
 
 
@@ -423,18 +429,24 @@ def oracle_backward_row(model, rows, row, d_pos):
 
 def oracle_backward(model, rows, d_pos):
     """MotionModel._decode_backward_agent's contract on an oracle cache: the
-    per-row backward of every row with a non-zero upstream gradient, agent by
-    agent, its returns summed per agent and per draw."""
-    m, n = d_pos.shape[:2]
-    d_h_obs = np.zeros((n, model.decoder.h_enc))
-    d_z = np.zeros((m, len(rows[0][0]) - model.decoder.h_enc))
-    for i in range(n):
-        for k in range(m):
-            if d_pos[k, i].any():
-                d_hi, d_zk = oracle_backward_row(model, rows, k * n + i, d_pos[k, i])
-                d_h_obs[i] += d_hi
-                d_z[k] += d_zk
+    per-row backward of every row with a non-zero upstream gradient, zero
+    returns for the other rows."""
+    d_h_obs = np.zeros((len(rows), model.decoder.h_enc))
+    d_z = np.zeros((len(rows), len(rows[0][0]) - model.decoder.h_enc))
+    for r in range(len(rows)):
+        if d_pos[r].any():
+            d_h_obs[r], d_z[r] = oracle_backward_row(model, rows, r, d_pos[r])
     return d_h_obs, d_z
+
+
+def decode_all_rows(model, h_obs, zs, steps, last_pos, last_disp, want_cache=False):
+    """decode of every (sample, agent) row, sample-major, of n agents under
+    the (m, z_dim) draws zs; positions come back as (m, n, steps, 2)."""
+    m, n = len(zs), len(h_obs)
+    positions, cache = model.decode(np.tile(h_obs, (m, 1)), np.repeat(zs, n, axis=0), steps,
+                                    np.tile(last_pos, (m, 1)), np.tile(last_disp, (m, 1)),
+                                    want_cache=want_cache)
+    return positions.reshape(m, n, steps, 2), cache
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +462,15 @@ def predict_oracle(model, scene, m, rng):
         zs = np.stack([mu + sigma * rng.normal(model.cfg.z_dim) for _ in range(m)])
     else:
         zs = np.zeros((m, 0))
-    positions, _ = model.decode(state.h_obs, zs, scene.pred_len,
-                                scene.positions[:, scene.obs_len - 1], obs_disp[:, -1])
+    positions, _ = decode_all_rows(model, state.h_obs, zs, scene.pred_len,
+                                   scene.positions[:, scene.obs_len - 1], obs_disp[:, -1])
     return positions, zs
 
 
 def loss_and_grad_oracle(model, scene, loss_cfg, rng):
-    """The objective with per-draw latents, the per-pair coherence oracle and
-    d_sigma summed draw by draw."""
+    """The objective of one scene with per-draw latents, the per-pair
+    coherence oracle and d_sigma summed draw by draw; the backward runs over
+    every cached (sample, agent) row, zero off each agent's best sample."""
     obs_disp = to_relative(scene.positions)[:, :scene.obs_len]
     state = model.observe(obs_disp, want_tape=True)
     if model.scene_enc is not None:
@@ -467,13 +480,17 @@ def loss_and_grad_oracle(model, scene, loss_cfg, rng):
         zs = np.stack([mu + sigma * e for e in eps_draws])
     else:
         zs = np.zeros((1, 0))
-    preds, dec_cache = model.decode(state.h_obs, zs, scene.pred_len,
-                                    scene.positions[:, scene.obs_len - 1], obs_disp[:, -1],
-                                    want_cache=True)
+    preds, dec_cache = decode_all_rows(model, state.h_obs, zs, scene.pred_len,
+                                       scene.positions[:, scene.obs_len - 1], obs_disp[:, -1],
+                                       want_cache=True)
     var_value, var_cache = variety_forward(scene.future(), preds)
     coh_value, coh_cache = coherence_forward_oracle(state.features, model.cfg.q, loss_cfg, rng)
     total = loss_cfg.lam * coh_value + var_value
-    d_h_obs, d_zs = model._decode_backward_agent(dec_cache, variety_backward(var_cache, 1.0))
+    m, n, steps, _ = preds.shape
+    d_h_rows, d_z_rows = model._decode_backward_agent(
+        dec_cache, variety_backward(var_cache, 1.0).reshape(m * n, steps, 2))
+    d_h_obs = d_h_rows.reshape(m, n, -1).sum(axis=0)
+    d_zs = d_z_rows.reshape(m, n, -1).sum(axis=1)
     d_features = np.zeros_like(state.features)
     coherence_backward_oracle(coh_cache, loss_cfg.lam, d_features)
     if model.scene_enc is not None:
@@ -484,3 +501,19 @@ def loss_and_grad_oracle(model, scene, loss_cfg, rng):
         encode_scene_backward(scene_cache, d_mu, d_sigma, model.scene_enc)
     model._observe_backward(state, d_h_obs, d_features)
     return {"total": float(total), "coherence": float(coh_value), "variety": float(var_value)}
+
+
+def batch_loss_and_grad_oracle(model, scenes, loss_cfg, rng):
+    """A batch's objective as a loop of loss_and_grad_oracle over its scenes:
+    the parts and the gradient are the means over the scenes."""
+    store = model.store
+    sums = {name: np.zeros_like(store.grad(name)) for name in store.names()}
+    parts = []
+    for scene in scenes:
+        store.zero_grads()
+        parts.append(loss_and_grad_oracle(model, scene, loss_cfg, rng))
+        for name in sums:
+            sums[name] += store.grad(name)
+    for name in sums:
+        store.grad(name)[...] = sums[name] / len(scenes)
+    return {key: float(np.mean([p[key] for p in parts])) for key in parts[0]}

@@ -108,8 +108,7 @@ def test_criterion_3_social_refinement_contract():
         model = MotionModel(ModelConfig(h=6, q=3, dec_h=4, use_latent=False), model_rng)
         obs_disp = model_rng.normal((n, 5, 2))
         state = model.observe(obs_disp, want_tape=True, want_cells=True)
-        steps = [cell_forward(obs_disp[:, t], cache.hidden, cache.cell, model.cell)[1]
-                 for t, (cache, _) in enumerate(state.tape)]
+        steps = [cell_forward(x_t, hid, cel, model.cell)[1] for x_t, hid, cel in state.tape]
         cells_ok = (np.array_equal(hidden, before)
                     and np.array_equal(state.cells, np.stack(steps, axis=1)))
         ok = ok and diff < 1e-12 and cells_ok

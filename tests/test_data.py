@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from motionq.data import (
-    SceneBatch,
+    Scene,
     WindowConfig,
     blank_map,
     extract_windows,
@@ -245,11 +245,11 @@ def test_synth_dataset_count_and_ids():
 
 def test_scene_batch_validation():
     with pytest.raises(ValueError):
-        SceneBatch(np.zeros((2, 20, 3)), 8)
+        Scene(np.zeros((2, 20, 3)), 8)
     with pytest.raises(ValueError):
-        SceneBatch(np.full((1, 20, 2), np.nan), 8)
+        Scene(np.full((1, 20, 2), np.nan), 8)
     with pytest.raises(ValueError):
-        SceneBatch(np.zeros((1, 20, 2)), 25)
+        Scene(np.zeros((1, 20, 2)), 25)
 
 
 def test_manifest_loading(tmp_path):

@@ -1,16 +1,21 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from motionq import gradchecks, model as model_module
-from motionq.data import SceneBatch, synth_scene, to_relative
+from motionq.data import Scene, synth_scene, to_relative
 from motionq.model import ModelConfig, MotionModel, write_prediction_records
 from motionq.numkit import Rng
 from motionq.objectives import LossConfig
+from motionq.trainer import TrainConfig, build_model
 
 from oracles import (
     assert_close_to_oracle,
     assert_grads_close,
     assert_parts_close,
+    batch_loss_and_grad_oracle,
     loss_and_grad_oracle,
     lstm_oracle_forward,
     oracle_backward,
@@ -152,9 +157,9 @@ def test_model_matches_per_agent_cell_oracle_bitwise(monkeypatch, n, q, social):
 def test_decode_emits_requested_steps():
     cfg = micro_cfg(use_latent=False)
     model = MotionModel(cfg, Rng(9))
-    pos, _ = model.decode(np.zeros((2, cfg.h)), np.zeros((3, 0)), 12,
-                          np.zeros((2, 2)), np.zeros((2, 2)))
-    assert pos.shape == (3, 2, 12, 2)
+    pos, _ = model.decode(np.zeros((6, cfg.h)), np.zeros((6, 0)), 12,
+                          np.zeros((6, 2)), np.zeros((6, 2)))
+    assert pos.shape == (6, 12, 2)
 
 
 def test_decode_zero_params_repeats_last_position():
@@ -163,10 +168,10 @@ def test_decode_zero_params_repeats_last_position():
     for name in model.store.names():
         model.store.value(name)[...] = 0.0
     last_pos = np.array([[3.0, -1.0], [0.5, 2.5]])
-    pos, _ = model.decode(Rng(11).normal((2, cfg.h)), np.zeros((1, 0)), 5,
+    pos, _ = model.decode(Rng(11).normal((2, cfg.h)), np.zeros((2, 0)), 5,
                           last_pos, Rng(12).normal((2, 2)))
     for t in range(5):
-        assert np.array_equal(pos[0, :, t], last_pos)
+        assert np.array_equal(pos[:, t], last_pos)
 
 
 def test_decode_deterministic_given_z():
@@ -174,9 +179,9 @@ def test_decode_deterministic_given_z():
     rng = Rng(13)
     model = MotionModel(cfg, rng)
     randomize(model, rng)
-    h_obs = Rng(14).normal((2, cfg.h))
+    h_obs = Rng(14).normal((3, cfg.h))
     z = Rng(15).normal((3, cfg.z_dim))
-    args = (h_obs, z, 6, np.zeros((2, 2)), np.zeros((2, 2)))
+    args = (h_obs, z, 6, np.zeros((3, 2)), np.zeros((3, 2)))
     a, _ = model.decode(*args)
     b, _ = model.decode(*args)
     assert np.array_equal(a, b)
@@ -211,7 +216,10 @@ def oracle_case(n, m, dec_h, latent, seed=0):
     randomize(model, rng, scale=0.4)
     draw = Rng(seed + 1)
     z = draw.normal((m, cfg.z_dim)) if latent else np.zeros((m, 0))
-    inputs = (draw.normal((n, cfg.h)), z, 12, draw.normal((n, 2)), draw.normal((n, 2)))
+    h_obs, last_pos, last_disp = draw.normal((n, cfg.h)), draw.normal((n, 2)), draw.normal((n, 2))
+    # every (sample, agent) row, sample-major
+    inputs = (np.tile(h_obs, (m, 1)), np.repeat(z, n, axis=0), 12,
+              np.tile(last_pos, (m, 1)), np.tile(last_disp, (m, 1)))
     return model, inputs
 
 
@@ -224,12 +232,17 @@ def test_decode_matches_per_row_oracle_bitwise(n, m, dec_h, latent):
     assert_close_to_oracle(pos, ref, "positions")
     assert np.array_equal(model.decode(*inputs)[0], pos)
     s_all, h0_all, steps = cache
+    # each step's cell cache as the backward rebuilds it from the taped inputs
+    cell_caches = [model_module.cell_forward(
+        x_t, (steps[t - 1][1] if t else h0_all)[:, None],
+        (steps[t - 1][2] if t else np.zeros_like(h0_all))[:, None], model.decoder.cell)[2]
+        for t, (x_t, _, _) in enumerate(steps)]
     for row, (s, h0, records) in enumerate(rows):
         assert np.array_equal(s_all[row], s)
         assert_close_to_oracle(h0_all[row], h0, "h0")
-        assert not steps[0][0].cell[row].any()
+        assert not cell_caches[0].cell[row].any()
         for t, st in enumerate(records):
-            cell_cache, h_t, c_t = steps[t]
+            cell_cache, (_, h_t, c_t) = cell_caches[t], steps[t]
             for got, key in ((cell_cache.m[row], "x"), (cell_cache.hidden[row, 0], "h_prev"),
                              (cell_cache.cell[row, 0], "c_prev"), (cell_cache.g[row], "gi"),
                              (cell_cache.o[row], "go"), (cell_cache.u[row], "gu"),
@@ -250,7 +263,7 @@ def test_decode_backward_matches_per_row_oracle_bitwise(n, m, dec_h, latent):
     d_pos = np.zeros_like(pos)
     for i in range(n):
         for k in {0, m - 1}:
-            d_pos[k, i] = Rng(50 + i).normal((12, 2))
+            d_pos[k * n + i] = Rng(50 + i).normal((12, 2))
     outs = []
     for backward, c in ((model._decode_backward_agent, cache),
                         (lambda c, d: oracle_backward(model, c, d), rows)):
@@ -412,8 +425,8 @@ def test_translation_covariance():
     randomize(model, rng)
     scene = make_scene(seed=5, noise=0.02)
     shift = np.array([12.25, -7.5])
-    shifted = SceneBatch(scene.positions + shift, scene.obs_len, smap=scene.smap,
-                         scene_id=scene.scene_id)
+    shifted = Scene(scene.positions + shift, scene.obs_len, smap=scene.smap,
+                    scene_id=scene.scene_id)
     a = model.predict(scene, 3, Rng(0))
     b = model.predict(shifted, 3, Rng(0))
     assert np.allclose(b.positions, a.positions + shift, atol=1e-9)
@@ -453,7 +466,7 @@ def test_loss_requires_future_frames():
     cfg = micro_cfg()
     model = MotionModel(cfg, Rng(25))
     scene = make_scene(seed=8)
-    obs_only = SceneBatch(scene.observed(), scene.obs_len, smap=scene.smap)
+    obs_only = Scene(scene.observed(), scene.obs_len, smap=scene.smap)
     with pytest.raises(ValueError):
         model.loss(obs_only, LossConfig(m=2), Rng(0))
 
@@ -510,6 +523,100 @@ def test_loss_grad_without_social_or_latent(social, latent, seed):
 
 
 # ---------------------------------------------------------------------------
+# training batches
+
+
+def batch_scenes(counts, obs_len=8, seed=0):
+    return [make_scene("crossroad" if n > 4 else "turning", n=n, seed=seed + i, noise=0.05,
+                       obs_len=obs_len) for i, n in enumerate(counts)]
+
+
+BATCH_CASES = ([(counts, social, latent, 8) for counts in ((2, 2), (16, 16), (1, 2, 5, 16))
+                for social in (True, False) for latent in (True, False)]
+               # one observed frame: coherence warns and scores no pair. Every
+               # agent then observes only the zero displacement, so social's
+               # relation gradients are zero up to rounding: social is off
+               + [((2, 2), False, latent, 1) for latent in (True, False)]
+               + [((1, 2, 5, 16), False, latent, 1) for latent in (True, False)])
+
+
+@pytest.mark.parametrize("counts,social,latent,obs_len", BATCH_CASES)
+def test_batch_matches_per_scene_oracle_loop(counts, social, latent, obs_len):
+    # one pass over a batch against a loop of the per-scene objective that
+    # caches and backpropagates every (sample, agent) row: the loss parts
+    # within 1e-12, every gradient tensor within 1e-10 relative, and the
+    # random stream after the batch bitwise the loop's
+    scenes = batch_scenes(counts, obs_len, seed=len(counts))
+    lc = LossConfig(lam=0.2, m=3, pairs_per_batch=8)
+    rng = Rng(34)
+    model = MotionModel(micro_cfg(obs_len=obs_len, use_social=social, use_latent=latent), rng)
+    randomize(model, rng, scale=0.4)
+    runs = []
+    for fn in (lambda r: model.loss_and_grad(scenes, lc, r),
+               lambda r: batch_loss_and_grad_oracle(model, scenes, lc, r)):
+        model.store.zero_grads()
+        r = Rng(8)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parts = fn(r)
+        assert bool(caught) == (obs_len == 1)
+        runs.append((parts, {k: model.store.grad(k).copy() for k in model.store.names()},
+                     r.state))
+    (parts, grads, state), (ref_parts, ref_grads, ref_state) = runs
+    assert_parts_close(parts, ref_parts)
+    assert_grads_close(grads, ref_grads)
+    assert state == ref_state
+
+
+def test_batch_draws_the_stream_of_one_call_per_scene():
+    # latent normals then coherence integers, scene by scene: a checkpoint's
+    # loss stream resumes the same whatever the batch size
+    scenes = batch_scenes((2, 3, 2))
+    lc = LossConfig(m=4, pairs_per_batch=8)
+    model = MotionModel(micro_cfg(), Rng(35))
+    batch_rng, loop_rng = Rng(9), Rng(9)
+    model.loss_and_grad(scenes, lc, batch_rng)
+    for scene in scenes:
+        model.loss_and_grad(scene, lc, loop_rng)
+    assert batch_rng.state == loop_rng.state
+    assert batch_rng.normal(3).tolist() == loop_rng.normal(3).tolist()
+
+
+def test_batch_loss_forward_matches_loss_and_grad_value():
+    scenes = batch_scenes((2, 5))
+    lc = LossConfig(m=3, pairs_per_batch=8)
+    model = MotionModel(micro_cfg(), Rng(36))
+    assert model.loss(scenes, lc, Rng(10)) == model.loss_and_grad(scenes, lc, Rng(10))
+
+
+def test_batch_rejects_unequal_window_lengths():
+    model = MotionModel(micro_cfg(), Rng(37))
+    scenes = [make_scene(seed=1), make_scene(seed=2, pred_len=6)]
+    with pytest.raises(ValueError, match="equal"):
+        model.loss(scenes, LossConfig(m=2), Rng(0))
+    with pytest.raises(ValueError, match="no scenes"):
+        model.loss([], LossConfig(m=2), Rng(0))
+
+
+def test_batch_memory_grows_with_winner_rows_not_all_samples():
+    # the backward caches each agent's best sample only, so a 4-scene batch
+    # of 4-agent turning scenes at m = 20 peaks within 2.5x of the same pass
+    # at m = 2 (caching all m x n rollout rows would peak near 5x)
+    scenes = [synth_scene("turning", 4, Rng(i), noise=0.02) for i in range(4)]
+    peaks = []
+    for m in (2, 20):
+        cfg = TrainConfig(m=m)
+        model = build_model(cfg)
+        tracemalloc.start()
+        try:
+            model.loss_and_grad(scenes, cfg.loss_config(), Rng(1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2.5 * peaks[0], peaks
+
+
+# ---------------------------------------------------------------------------
 # exports
 
 
@@ -561,9 +668,9 @@ def test_cell_state_trace_pred_rows_match_oracle_rollout(latent):
         z = model_module.encode_scene(scene.smap, obs_disp, model.scene_enc)[0][None]
     else:
         z = np.zeros((1, 0))
-    _, rows = oracle_decode(model, state.h_obs, z, scene.pred_len,
-                            scene.positions[:, scene.obs_len - 1], obs_disp[:, -1],
-                            want_cache=True)
+    _, rows = oracle_decode(model, state.h_obs, np.repeat(z, scene.n_agents, axis=0),
+                            scene.pred_len, scene.positions[:, scene.obs_len - 1],
+                            obs_disp[:, -1], want_cache=True)
     assert len(pred_rows) == scene.n_agents * scene.pred_len
     for phase, i, t, vec in pred_rows:
         assert_close_to_oracle(vec, rows[i][2][t]["c"], (i, t))

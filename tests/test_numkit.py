@@ -56,6 +56,21 @@ def test_sigmoid_extremes_finite():
     assert out[2] == 0.5
 
 
+def test_sigmoid_matches_two_branch_exp_form():
+    # the tanh form against the two exp branches it replaced, each of which
+    # exponentiates only non-positive arguments
+    x = np.linspace(-50.0, 50.0, 200001)
+    ex = np.exp(-np.abs(x))
+    two_branch = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    assert np.abs(sigmoid(x) - two_branch).max() <= 1e-15
+
+
+def test_sigmoid_far_tails_are_exact_without_floating_point_errors():
+    with np.errstate(all="raise"):
+        out = sigmoid(np.array([-1e4, 1e4]))
+    assert out[0] == 0.0 and out[1] == 1.0
+
+
 def test_matmul_matches_triple_loop_oracle():
     rng = np.random.default_rng(7)
     for _ in range(5):

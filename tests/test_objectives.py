@@ -12,6 +12,7 @@ from motionq.objectives import (
     coherence_backward,
     coherence_forward,
     coherence_loss,
+    coherence_pairs,
     format_metrics_report,
     nonlinear_filter,
     per_agent_best_metrics,
@@ -90,7 +91,7 @@ def test_coherence_pair_contributions_bounded():
     cfg = LossConfig(margin=0.5, pairs_per_batch=1)
     for _ in range(200):
         feats = rng.normal((2, 5, 3))
-        v, cache = coherence_forward(feats, q=2, cfg=cfg, rng=rng)
+        v, cache = coherence_forward(feats, q=2, cfg=cfg, pairs=coherence_pairs(2, 5, cfg, rng))
         assert 0.0 <= v <= 2.0
 
 
@@ -118,7 +119,7 @@ def test_coherence_matches_per_pair_oracle_bitwise():
         feats = gen.standard_normal((n, t, h))
         feats[gen.random((n, t)) < 0.15] = 0.0
         rng, ref_rng = Rng(case), Rng(case)
-        value, cache = coherence_forward(feats, q, cfg, rng)
+        value, cache = coherence_forward(feats, q, cfg, coherence_pairs(n, t, cfg, rng))
         ref_value, ref_cache = coherence_forward_oracle(feats, q, cfg, ref_rng)
         assert_close_to_oracle(value, ref_value, case)
         assert rng.state == ref_rng.state, case
@@ -133,7 +134,8 @@ def test_coherence_matches_per_pair_oracle_bitwise():
 def test_coherence_backward_without_pairs_adds_nothing():
     grad = np.ones((2, 1, 3))
     with pytest.warns(UserWarning):
-        _, cache = coherence_forward(np.ones((2, 1, 3)), 2, LossConfig(), Rng(0))
+        _, cache = coherence_forward(np.ones((2, 1, 3)), 2, LossConfig(),
+                                     coherence_pairs(2, 1, LossConfig(), Rng(0)))
     coherence_backward(cache, 1.0, grad)
     assert np.array_equal(grad, np.ones((2, 1, 3)))
 
@@ -219,6 +221,26 @@ def test_variety_backward_grad_check():
     grad = variety_backward(cache, 1.0)
     assert grad[2, 0].any() and grad[0, 1].any()
     assert not grad[1].any() and not grad[0, 0].any() and not grad[2, 1].any()
+
+
+def test_variety_of_a_batch_is_the_mean_of_its_scenes():
+    # agents of scenes of 1, 3 and 2 agents concatenated: each scene's value
+    # is the mean over its own agents, and the gradient is that of the mean
+    # over scenes
+    rng = Rng(6)
+    counts = (1, 3, 2)
+    gt = rng.normal((6, 4, 2))
+    preds = rng.normal((5, 6, 4, 2))
+    value, cache = variety_forward(gt, preds, counts)
+    ends = np.cumsum(counts)
+    scenes = [slice(end - k, end) for k, end in zip(counts, ends)]
+    assert abs(value - np.mean([variety_loss(gt[s], preds[:, s]) for s in scenes])) < 1e-15
+    grad = variety_backward(cache, 1.0)
+    for s in scenes:
+        _, scene_cache = variety_forward(gt[s], preds[:, s])
+        assert_close_to_oracle(grad[:, s], variety_backward(scene_cache, 1.0 / len(counts)))
+    with pytest.raises(ValueError, match="counts"):
+        variety_forward(gt, preds, (3, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def test_softmax_mode_weights_sum_to_one():
     store, params = make_social(rng, 4)
     hidden, _ = random_queues(rng, 3, 2, 4)
     out, cache = refine_forward(hidden, params)
-    assert cache.W.shape == (2, 3, 3)  # (q, n, n)
+    assert cache.W.shape == (1, 2, 3, 3)  # (scenes, q, n, n)
     for w in cache.W.reshape(-1, 3):
         assert abs(w.sum() - 1.0) < 1e-12
         assert np.all(w > 0)
@@ -201,3 +201,54 @@ def test_stale_cache_rejected():
     refine_backward(cache, refined, params)
     with pytest.raises(ValueError):
         refine_backward(cache, refined, params)
+
+
+# ---------------------------------------------------------------------------
+# a batch's scenes refined together
+
+
+@pytest.mark.parametrize("counts", [(3, 3), (1, 2, 5, 16), (4,)])
+def test_batch_refinement_matches_each_scene_alone(counts):
+    # scenes concatenated along the agent axis relate only inside their
+    # scene: the refined queues, the input gradient and the parameter
+    # gradients are those of one call per scene; an absent agent's masked
+    # scores pass no gradient
+    rng = Rng(40 + len(counts))
+    q, h = 3, 6
+    hidden = rng.normal((sum(counts), q, h))
+    d_out = rng.normal((sum(counts), q, h))
+    ends = np.cumsum(counts)
+    results = []
+    for run in ("batch", "per scene"):
+        store, params = make_social(Rng(7), h)
+        if run == "batch":
+            out, cache = refine_forward(hidden, params, counts)
+            d_in = refine_backward(cache, d_out, params)
+        else:
+            outs, d_ins = [], []
+            for k, end in zip(counts, ends):
+                rows = slice(end - k, end)
+                out_b, cache = refine_forward(hidden[rows], params)
+                outs.append(out_b)
+                d_ins.append(refine_backward(cache, d_out[rows], params))
+            out, d_in = np.concatenate(outs), np.concatenate(d_ins)
+        results.append([out, d_in] + [store.grad(name).copy() for name in store.names()])
+    for label, got, want in zip(("refined", "d_in", "dW_theta", "dW_phi", "dW_g"), *results):
+        assert_close_to_oracle(got, want, label)
+
+
+def test_batch_of_equal_scenes_builds_no_mask():
+    store, params = make_social(Rng(8), 4)
+    _, cache = refine_forward(Rng(9).normal((6, 2, 4)), params, (3, 3))
+    assert cache.W.shape == (2, 2, 3, 3)  # (scenes, q, n, n)
+    assert cache.layout[3] is None
+    _, cache = refine_forward(Rng(9).normal((6, 2, 4)), params, (2, 4))
+    assert cache.W.shape == (2, 2, 4, 4)
+    assert not cache.W[0, :, :, 2:].any()  # the first scene's two absent agents
+
+
+def test_batch_counts_must_split_the_agents():
+    store, params = make_social(Rng(8), 4)
+    for counts in ((2, 2), (3, 0, 3)):
+        with pytest.raises(ValueError, match="counts"):
+            refine_forward(Rng(9).normal((6, 2, 4)), params, counts)

@@ -187,15 +187,10 @@ def test_single_step_decreases_loss_small_lr():
 
     def batch_loss(grad):
         model.store.zero_grads()
-        rng = Rng(5)
-        total = 0.0
-        for scene in scenes:
-            fn = model.loss_and_grad if grad else model.loss
-            total += fn(scene, loss_cfg, rng)["total"]
-        return total / len(scenes)
+        fn = model.loss_and_grad if grad else model.loss
+        return fn(scenes, loss_cfg, Rng(5))["total"]
 
     before = batch_loss(grad=True)
-    model.store.scale_grads(1.0 / len(scenes))
     adam_step(model.store, state, cfg.lr)
     after = batch_loss(grad=False)
     assert after < before
@@ -508,9 +503,9 @@ def test_nonfinite_training_error_names_epoch_iteration_and_scenes(tmp_path, mon
     scenes = micro_scenes(count=4)
     real = MotionModel.loss_and_grad
 
-    def nan_for_scene_2(self, scene, loss_cfg, rng):
-        parts = real(self, scene, loss_cfg, rng)
-        if scene is scenes[2]:
+    def nan_for_scene_2(self, batch, loss_cfg, rng):
+        parts = real(self, batch, loss_cfg, rng)
+        if any(scene is scenes[2] for scene in batch):
             if broken == "loss":
                 parts = dict(parts, total=float("nan"))
             else:
